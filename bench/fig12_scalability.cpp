@@ -7,43 +7,34 @@
 // Both series are engine backends ("flatdd", "array-mi") dispatched by name;
 // the array runs drop parallelThresholdDim to 2 so every gate exercises the
 // thread pool (the scalability signal), while FlatDD keeps the production
-// threshold.
-//
-// Two ISSUE 7 sections ride along:
-//  * DD-phase-only scaling — DDSimulator with the parallel mat-vec recursion
-//    at 1/2/4/8 workers, per family (supremacy prefix, QFT on a dense random
-//    state, Grover prefix). Gates/s should be monotonic up to the physical
-//    core count; past it the fork/join tax shows.
-//  * Conversion-point shift — the flatdd backend with explicit ddThreads:
-//    the EWMA epsilon scales with ddPhaseSpeedup(t), so the conversion gate
-//    index moves later as the DD phase gets faster.
+// threshold. The FlatDD conversion gate is recorded per thread count: the
+// DD phase is sequential, so it must not move with the thread count.
+// Results go to BENCH_fig12.json.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
+#include <thread>
 
 #include "bench_json.hpp"
 #include "circuits/generators.hpp"
 #include "circuits/supremacy.hpp"
 #include "common/harness.hpp"
-#include "common/prng.hpp"
-#include "common/timing.hpp"
-#include "sim/dd_simulator.hpp"
+#include "simd/kernels.hpp"
 
 namespace fdd::bench {
 namespace {
 
-constexpr unsigned kDdThreadSweep[] = {1, 2, 4, 8};
-
-void runCase(const qc::Circuit& circuit) {
+void runCase(const qc::Circuit& circuit, tools::JsonWriter& w) {
   const Qubit n = circuit.numQubits();
   std::printf("--- %s (%d qubits, %zu gates) ---\n", circuit.name().c_str(),
               n, circuit.numGates());
-  Table table({"Threads", "FlatDD time", "FlatDD speedup", "Array time",
-               "Array speedup"});
+  Table table({"Threads", "FlatDD time", "FlatDD speedup", "Conversion gate",
+               "Array time", "Array speedup"});
+  w.beginObject();
+  w.kv("circuit", circuit.name());
+  w.kv("qubits", static_cast<std::int64_t>(n));
+  w.kv("gates", circuit.numGates());
+  w.key("points").beginArray();
   double flatBase = 0;
   double arrBase = 0;
   constexpr int kReps = 3;  // best-of-N to tame container jitter
@@ -54,8 +45,8 @@ void runCase(const qc::Circuit& circuit) {
     arrOpt.threads = t;
     arrOpt.parallelThresholdDim = 2;
 
-    const double tFlat =
-        bestOf(kReps, "flatdd", circuit, flatOpt).simulateSeconds;
+    const engine::RunReport flat = bestOf(kReps, "flatdd", circuit, flatOpt);
+    const double tFlat = flat.simulateSeconds;
     const double tArr =
         bestOf(kReps, "array-mi", circuit, arrOpt).simulateSeconds;
 
@@ -64,193 +55,39 @@ void runCase(const qc::Circuit& circuit) {
       arrBase = tArr;
     }
     table.addRow({std::to_string(t), fmtSeconds(tFlat),
-                  fmtRatio(flatBase / tFlat), fmtSeconds(tArr),
-                  fmtRatio(arrBase / tArr)});
-  }
-  table.print();
-  std::printf("\n");
-}
-
-// ---------------------------------------------------------------------------
-// DD-phase-only scaling (ISSUE 7)
-// ---------------------------------------------------------------------------
-
-qc::Circuit prefixOf(const qc::Circuit& circuit, std::size_t gates,
-                     const std::string& name) {
-  qc::Circuit out{circuit.numQubits(), name};
-  std::size_t taken = 0;
-  for (const auto& op : circuit) {
-    if (taken++ >= gates) {
-      break;
-    }
-    out.append(op);
-  }
-  return out;
-}
-
-/// A normalized dense random state — worst case for DD compression, best
-/// case for the parallel recursion (the state DD is a full binary tree).
-AlignedVector<Complex> denseRandomState(Qubit n, std::uint64_t seed) {
-  AlignedVector<Complex> v(Index{1} << n);
-  Xoshiro256 rng{seed};
-  fp norm = 0;
-  for (auto& a : v) {
-    a = Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    norm += norm2(a);
-  }
-  const fp scale = 1.0 / std::sqrt(norm);
-  for (auto& a : v) {
-    a *= scale;
-  }
-  return v;
-}
-
-struct DdPhaseFamily {
-  std::string name;
-  qc::Circuit circuit;
-  AlignedVector<Complex> initialState;  // empty = |0...0>
-};
-
-std::vector<DdPhaseFamily> ddPhaseFamilies() {
-  std::vector<DdPhaseFamily> fams;
-  fams.push_back({"supremacy-prefix",
-                  prefixOf(circuits::supremacy(16, 8, 23), 140,
-                           "supremacy_16_prefix140"),
-                  {}});
-  fams.push_back(
-      {"qft-dense", circuits::qft(13), denseRandomState(13, 0xfddULL)});
-  fams.push_back({"grover-prefix",
-                  prefixOf(circuits::grover(12), 220, "grover_12_prefix220"),
-                  {}});
-  return fams;
-}
-
-struct DdPhasePoint {
-  unsigned threads = 0;
-  double seconds = 0;
-  double gatesPerSec = 0;
-  double speedup = 0;
-};
-
-void runDdPhaseScaling(tools::JsonWriter& w) {
-  std::printf("--- DD-phase-only scaling (parallel mat-vec recursion) ---\n");
-  w.key("ddPhaseScaling").beginArray();
-  for (const DdPhaseFamily& fam : ddPhaseFamilies()) {
-    const Qubit n = fam.circuit.numQubits();
-    Table table({"Threads", "time", "gates/s", "speedup"});
-    std::vector<DdPhasePoint> points;
-    double base = 0;
-    for (const unsigned t : kDdThreadSweep) {
-      constexpr int kReps = 3;
-      double best = 0;
-      for (int rep = 0; rep < kReps; ++rep) {
-        sim::DDSimulator sim{n};
-        if (!fam.initialState.empty()) {
-          sim.setState(fam.initialState);
-        }
-        sim.setThreads(t);
-        Stopwatch clock;
-        sim.simulate(fam.circuit);
-        const double s = clock.seconds();
-        if (rep == 0 || s < best) {
-          best = s;
-        }
-      }
-      if (t == 1) {
-        base = best;
-      }
-      DdPhasePoint p;
-      p.threads = t;
-      p.seconds = best;
-      p.gatesPerSec = static_cast<double>(fam.circuit.numGates()) / best;
-      p.speedup = base / best;
-      points.push_back(p);
-      table.addRow({std::to_string(t), fmtSeconds(p.seconds),
-                    std::to_string(static_cast<long>(p.gatesPerSec)),
-                    fmtRatio(p.speedup)});
-    }
-    std::printf("%s (%d qubits, %zu gates)\n", fam.name.c_str(), n,
-                fam.circuit.numGates());
-    table.print();
-    std::printf("\n");
-
+                  fmtRatio(flatBase / tFlat),
+                  flat.converted ? std::to_string(flat.conversionGateIndex)
+                                 : "-",
+                  fmtSeconds(tArr), fmtRatio(arrBase / tArr)});
     w.beginObject();
-    w.kv("family", fam.name);
-    w.kv("qubits", static_cast<std::int64_t>(n));
-    w.kv("gates", fam.circuit.numGates());
-    w.kv("denseInitialState", !fam.initialState.empty());
-    w.key("points").beginArray();
-    for (const DdPhasePoint& p : points) {
-      w.beginObject();
-      w.kv("threads", static_cast<std::int64_t>(p.threads));
-      w.kv("seconds", p.seconds);
-      w.kv("gatesPerSec", p.gatesPerSec);
-      w.kv("speedup", p.speedup);
-      w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-  }
-  w.endArray();
-}
-
-// ---------------------------------------------------------------------------
-// Conversion-point shift under DD-phase threads (ISSUE 7)
-// ---------------------------------------------------------------------------
-
-void runConversionShift(tools::JsonWriter& w) {
-  std::printf("--- Conversion-point shift vs DD-phase threads ---\n");
-  std::printf("(epsilon scales with ddPhaseSpeedup(t): a faster DD phase "
-              "converts later)\n");
-  // The speedup model clamps at detected cores, so on a small container the
-  // series would be flat no matter what `ddThreads` asks for. Pin the
-  // model's view of the machine to the sweep's maximum so the section shows
-  // the *model's* shift; timings here are not the point, the gate index is.
-  constexpr unsigned kAssumeCores = 8;
-  setenv("FLATDD_DD_ASSUME_CORES", std::to_string(kAssumeCores).c_str(), 1);
-  std::printf("(FLATDD_DD_ASSUME_CORES=%u: model demonstration — this "
-              "container may have fewer cores)\n", kAssumeCores);
-  const qc::Circuit circuit = circuits::supremacy(12, 8, 46);
-  Table table({"ddThreads", "converted", "conversion gate", "DD gates"});
-  w.key("conversionShift").beginObject();
-  w.kv("assumeCores", static_cast<std::int64_t>(kAssumeCores));
-  w.kv("circuit", circuit.name());
-  w.kv("qubits", static_cast<std::int64_t>(circuit.numQubits()));
-  w.kv("gates", circuit.numGates());
-  w.key("points").beginArray();
-  for (const unsigned t : kDdThreadSweep) {
-    engine::EngineOptions opt;
-    opt.threads = 4;
-    opt.ddThreads = t;
-    const engine::RunReport r = bestOf(1, "flatdd", circuit, opt);
-    table.addRow({std::to_string(t), r.converted ? "yes" : "no",
-                  r.converted ? std::to_string(r.conversionGateIndex) : "-",
-                  std::to_string(r.ddGates)});
-    w.beginObject();
-    w.kv("ddThreads", static_cast<std::int64_t>(t));
-    w.kv("converted", r.converted);
-    w.kv("conversionGateIndex", r.conversionGateIndex);
-    w.kv("ddGates", r.ddGates);
+    w.kv("threads", static_cast<std::int64_t>(t));
+    w.kv("flatddSeconds", tFlat);
+    w.kv("flatddSpeedup", flatBase / tFlat);
+    w.kv("converted", flat.converted);
+    w.kv("conversionGateIndex", flat.conversionGateIndex);
+    w.kv("arraySeconds", tArr);
+    w.kv("arraySpeedup", arrBase / tArr);
     w.endObject();
   }
   w.endArray();
   w.endObject();
   table.print();
   std::printf("\n");
-  unsetenv("FLATDD_DD_ASSUME_CORES");
 }
 
 int run() {
   printPreamble("Figure 12 — runtime scalability over threads",
                 "FlatDD (ICPP'24), Fig. 12");
-  runCase(circuits::supremacy(16, 8, 23));
-  runCase(circuits::knn(17, 17));
-
   tools::JsonWriter w;
   w.beginObject();
   w.kv("bench", "fig12_scalability");
-  runDdPhaseScaling(w);
-  runConversionShift(w);
+  w.kv("hardwareThreads",
+       static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  w.kv("simdTier", simd::toString(simd::activeTier()));
+  w.key("cases").beginArray();
+  runCase(circuits::supremacy(16, 8, 23), w);
+  runCase(circuits::knn(17, 17), w);
+  w.endArray();
   w.endObject();
   writeBenchJson("BENCH_fig12.json", w.str());
   return 0;

@@ -1,5 +1,6 @@
 #include "dd/complex_table.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -11,7 +12,7 @@ constexpr fp kSeedValues[] = {0.0,  1.0,        -1.0,       0.5,
 }  // namespace
 
 RealTable::RealTable(fp tolerance)
-    : tol_{tolerance}, bucketWidth_{4 * tolerance}, slots_(kSlots) {
+    : tol_{tolerance}, bucketWidth_{4 * tolerance}, heads_(kSlots, 0) {
   // Pre-seed the values virtually every gate set produces, so they become
   // the representatives rather than whatever jittered variant shows up first.
   for (const fp v : kSeedValues) {
@@ -23,32 +24,16 @@ std::int64_t RealTable::bucketOf(fp x) const noexcept {
   return static_cast<std::int64_t>(std::floor(x / bucketWidth_));
 }
 
-std::size_t RealTable::slotOf(std::int64_t id) noexcept {
-  auto h = static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ULL;
+std::size_t RealTable::slotOf(std::int64_t bucket) noexcept {
+  auto h = static_cast<std::uint64_t>(bucket) * 0x9e3779b97f4a7c15ULL;
   h ^= h >> 29;
   return static_cast<std::size_t>(h) & (kSlots - 1);
 }
 
-bool RealTable::findIn(std::int64_t id, fp x, fp& out) const noexcept {
-  // Acquire on the chain heads pairs with the inserter's release stores, so
-  // every node reached through them is fully initialized; interior `next`
-  // pointers are immutable after publication.
-  const BucketNode* bucket =
-      slots_[slotOf(id)].load(std::memory_order_acquire);
-  for (; bucket != nullptr; bucket = bucket->next) {
-    if (bucket->id != id) {
-      continue;
-    }
-    for (const ValueNode* v = bucket->values.load(std::memory_order_acquire);
-         v != nullptr; v = v->next) {
-      if (std::abs(v->value - x) <= tol_) {
-        out = v->value;
-        return true;
-      }
-    }
-    return false;
-  }
-  return false;
+void RealTable::insert(std::int64_t bucket, fp x) {
+  std::uint32_t& head = heads_[slotOf(bucket)];
+  entries_.push_back(Entry{bucket, x, head});
+  head = static_cast<std::uint32_t>(entries_.size());
 }
 
 fp RealTable::lookup(fp x) {
@@ -58,85 +43,45 @@ fp RealTable::lookup(fp x) {
     return 0.0;
   }
   const std::int64_t b = bucketOf(x);
-  fp out;
   for (std::int64_t probe = b - 1; probe <= b + 1; ++probe) {
-    if (findIn(probe, x, out)) {
-      return out;
+    for (std::uint32_t i = heads_[slotOf(probe)]; i != 0;) {
+      const Entry& e = entries_[i - 1];
+      if (e.bucket == probe && std::abs(e.value - x) <= tol_) {
+        return e.value;
+      }
+      i = e.next;
     }
   }
-  // Miss: insert under the write lock, re-probing first — a concurrent
-  // insert within tolerance must win, or two workers would mint distinct
-  // representatives for the "same" value and break canonicity.
-  const std::lock_guard<std::mutex> lock{writeMutex_};
-  for (std::int64_t probe = b - 1; probe <= b + 1; ++probe) {
-    if (findIn(probe, x, out)) {
-      return out;
-    }
-  }
-  BucketNode* bucket = findOrCreateBucketLocked(b);
-  valueArena_.push_back(
-      ValueNode{x, bucket->values.load(std::memory_order_relaxed)});
-  bucket->values.store(&valueArena_.back(), std::memory_order_release);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  insert(b, x);
   return x;
-}
-
-RealTable::BucketNode* RealTable::findOrCreateBucketLocked(std::int64_t id) {
-  std::atomic<BucketNode*>& head = slots_[slotOf(id)];
-  for (BucketNode* cur = head.load(std::memory_order_relaxed); cur != nullptr;
-       cur = cur->next) {
-    if (cur->id == id) {
-      return cur;
-    }
-  }
-  bucketArena_.emplace_back(id, head.load(std::memory_order_relaxed));
-  BucketNode* bucket = &bucketArena_.back();
-  head.store(bucket, std::memory_order_release);
-  return bucket;
 }
 
 void RealTable::insertExact(fp x) {
   if (x == 0.0) {
     return;  // zero is implicit
   }
-  const std::lock_guard<std::mutex> lock{writeMutex_};
-  BucketNode* bucket = findOrCreateBucketLocked(bucketOf(x));
-  for (const ValueNode* v = bucket->values.load(std::memory_order_relaxed);
-       v != nullptr; v = v->next) {
-    if (v->value == x) {
+  const std::int64_t b = bucketOf(x);
+  for (std::uint32_t i = heads_[slotOf(b)]; i != 0;) {
+    const Entry& e = entries_[i - 1];
+    if (e.bucket == b && e.value == x) {
       return;
     }
+    i = e.next;
   }
-  valueArena_.push_back(
-      ValueNode{x, bucket->values.load(std::memory_order_relaxed)});
-  bucket->values.store(&valueArena_.back(), std::memory_order_release);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  insert(b, x);
 }
 
 void RealTable::clear() {
-  {
-    const std::lock_guard<std::mutex> lock{writeMutex_};
-    resetLocked();
-  }
+  std::fill(heads_.begin(), heads_.end(), 0);
+  entries_.clear();
   for (const fp v : kSeedValues) {
     (void)lookup(v);
   }
 }
 
-void RealTable::resetLocked() {
-  for (auto& slot : slots_) {
-    slot.store(nullptr, std::memory_order_relaxed);
-  }
-  bucketArena_.clear();
-  valueArena_.clear();
-  count_.store(0, std::memory_order_relaxed);
-}
-
 std::size_t RealTable::memoryBytes() const noexcept {
-  std::size_t bytes = slots_.size() * sizeof(std::atomic<BucketNode*>);
-  bytes += bucketArena_.size() * sizeof(BucketNode);
-  bytes += valueArena_.size() * sizeof(ValueNode);
-  return bytes;
+  return heads_.size() * sizeof(std::uint32_t) +
+         entries_.capacity() * sizeof(Entry);
 }
 
 ComplexTable::ComplexTable(fp tolerance) : table_{tolerance} {}

@@ -9,19 +9,11 @@
 // We canonicalize the real and imaginary components independently through a
 // bucketed table of doubles. Lookup probes the value's bucket and both
 // neighbors, so two values within the tolerance always map to the same
-// representative even when they straddle a bucket boundary.
-//
-// Concurrency: reads are lock-free (bucket and value chains are only ever
-// prepended to, with release publication), inserts serialize on one mutex
-// and re-probe under it — so two workers racing to canonicalize values
-// within tolerance of each other still agree on a single representative,
-// which is what keeps concurrent node construction canonical. clear() and
-// insertExact() are quiescent-point operations (GC only).
+// representative even when they straddle a bucket boundary. Buckets hash
+// into a fixed array of chain heads; entries live in one growing vector
+// and are linked by index, so the table never rehashes.
 
 #include <cstdint>
-#include <deque>
-#include <atomic>
-#include <mutex>
 #include <vector>
 
 #include "common/types.hpp"
@@ -32,63 +24,41 @@ class RealTable {
  public:
   explicit RealTable(fp tolerance);
 
-  RealTable(const RealTable&) = delete;
-  RealTable& operator=(const RealTable&) = delete;
-
   /// Returns the canonical representative for x (inserting x if no existing
-  /// entry lies within the tolerance). Canonical zero is +0.0. Thread-safe.
+  /// entry lies within the tolerance). Canonical zero is +0.0.
   [[nodiscard]] fp lookup(fp x);
 
   /// Inserts x verbatim as a representative unless the identical bits are
   /// already present. Used when rebuilding the table from live edge weights
   /// during garbage collection: live weights must survive bit-exactly.
-  /// Quiescent-point only.
   void insertExact(fp x);
 
-  /// Drops every entry and re-seeds the standard constants. Quiescent-point
-  /// only.
+  /// Drops every entry and re-seeds the standard constants.
   void clear();
 
   [[nodiscard]] fp tolerance() const noexcept { return tol_; }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   /// Bytes of heap the table currently holds (for memory accounting).
   [[nodiscard]] std::size_t memoryBytes() const noexcept;
 
  private:
-  /// One canonical representative; chains are prepend-only between clears.
-  struct ValueNode {
+  struct Entry {
+    std::int64_t bucket;  // bucketOf(value)
     fp value;
-    ValueNode* next;  // immutable after publication
-  };
-  /// One tolerance-width bucket (keyed by floor(x / bucketWidth)).
-  struct BucketNode {
-    BucketNode(std::int64_t i, BucketNode* n) noexcept : id{i}, next{n} {}
-    std::int64_t id;
-    BucketNode* next;  // immutable after publication
-    std::atomic<ValueNode*> values{nullptr};
+    std::uint32_t next;   // 1 + index of the next entry in the chain; 0 ends
   };
 
   static constexpr std::size_t kSlotBits = 15;
   static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
 
   [[nodiscard]] std::int64_t bucketOf(fp x) const noexcept;
-  [[nodiscard]] static std::size_t slotOf(std::int64_t id) noexcept;
-  /// Lock-free walk of the bucket's value chain; false when absent.
-  [[nodiscard]] bool findIn(std::int64_t id, fp x, fp& out) const noexcept;
-  /// Chain append; callers hold writeMutex_.
-  BucketNode* findOrCreateBucketLocked(std::int64_t id);
-  void resetLocked();
+  [[nodiscard]] static std::size_t slotOf(std::int64_t bucket) noexcept;
+  void insert(std::int64_t bucket, fp x);
 
   fp tol_;
   fp bucketWidth_;
-  std::vector<std::atomic<BucketNode*>> slots_;
-  std::mutex writeMutex_;
-  // Node storage (stable addresses); mutated only under writeMutex_.
-  std::deque<BucketNode> bucketArena_;
-  std::deque<ValueNode> valueArena_;
-  std::atomic<std::size_t> count_{0};
+  std::vector<std::uint32_t> heads_;  // per slot: 1 + index of the chain head
+  std::vector<Entry> entries_;
 };
 
 class ComplexTable {
@@ -97,10 +67,10 @@ class ComplexTable {
 
   /// Canonicalizes both components. Values within tolerance of 0 snap to
   /// exactly +0.0, of 1 to exactly 1.0, etc. (0, ±1, ±1/sqrt(2), ±0.5 are
-  /// pre-seeded since they dominate quantum gate sets). Thread-safe.
+  /// pre-seeded since they dominate quantum gate sets).
   [[nodiscard]] Complex lookup(Complex z);
 
-  /// See RealTable::insertExact / clear (quiescent-point only).
+  /// See RealTable::insertExact / clear.
   void insertExact(Complex z) {
     table_.insertExact(z.real());
     table_.insertExact(z.imag());

@@ -4,27 +4,12 @@
 // bounds memory and needs no eviction policy. Flushed on garbage collection
 // because results may reference reclaimed nodes.
 //
-// Concurrency: each slot is a seqlock — a sequence word plus the entry
-// payload stored as relaxed atomic words. Readers copy the payload out and
-// validate the sequence (retrying is pointless for a cache, so a torn read
-// is just a miss); writers claim a slot with one CAS and *drop* the insert
-// if another writer holds it ("lossy insert"). Losing an insert only costs
-// a future recomputation of a value that is canonical anyway — the classic
-// DD compute-cache trade (Q-Sylvan makes the same one).
-//
-// Pointer-stability audit (history): lookup() used to return `const
-// ResultT*` pointing into the slot. That was only safe single-threaded and
-// only until the next insert() hashing to the same slot — a latent aliasing
-// hazard even before concurrency (callers held the pointer across recursive
-// calls that could overwrite the slot). The API is now copy-out
-// (`lookup(key, out)`), which is unconditionally safe and costs one small
-// struct copy.
+// lookup() copies the result out instead of returning a pointer into the
+// slot: callers hold the result across recursive calls, and any insert()
+// hashing to the same slot would overwrite it underneath them.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "dd/edge.hpp"
@@ -41,96 +26,43 @@ class ComputeTable {
   /// Copies the cached result for `key` into `out`; returns false on miss.
   [[nodiscard]] bool lookup(const KeyT& key, ResultT& out) noexcept {
     const Slot& s = slots_[key.hash() & (kSlots - 1)];
-    // Sequence protocol: 0 = never written, odd = writer in flight, even > 0
-    // = published. The acquire load pairs with the writer's final release
-    // store; the fence orders the payload loads before the re-check.
-    const std::uint32_t s0 = s.seq.load(std::memory_order_acquire);
-    if (s0 == 0 || (s0 & 1u) != 0) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
+    if (s.valid && s.key == key) {
+      ++hits_;
+      out = s.result;
+      return true;
     }
-    std::array<std::uint64_t, kWords> words;
-    for (std::size_t i = 0; i < kWords; ++i) {
-      words[i] = s.data[i].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != s0) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;  // torn by a concurrent insert — treat as a miss
-    }
-    Entry entry;
-    // void* cast: Entry is trivially copyable (asserted below) but not
-    // trivial (defaulted members), which alone would trip -Wclass-memaccess.
-    std::memcpy(static_cast<void*>(&entry), words.data(), sizeof(Entry));
-    if (!(entry.key == key)) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    out = entry.result;
-    return true;
+    ++misses_;
+    return false;
   }
 
   void insert(const KeyT& key, const ResultT& result) noexcept {
     Slot& s = slots_[key.hash() & (kSlots - 1)];
-    std::uint32_t s0 = s.seq.load(std::memory_order_relaxed);
-    if ((s0 & 1u) != 0 ||
-        !s.seq.compare_exchange_strong(s0, s0 + 1, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      // Another writer owns the slot right now; drop this insert.
-      lostInserts_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    const Entry entry{key, result};
-    std::array<std::uint64_t, kWords> words{};
-    std::memcpy(words.data(), static_cast<const void*>(&entry),
-                sizeof(Entry));
-    for (std::size_t i = 0; i < kWords; ++i) {
-      s.data[i].store(words[i], std::memory_order_relaxed);
-    }
-    s.seq.store(s0 + 2, std::memory_order_release);
+    s.key = key;
+    s.result = result;
+    s.valid = true;
   }
 
-  /// Quiescent-point only (GC): no concurrent lookup/insert.
   void flush() noexcept {
     for (auto& s : slots_) {
-      s.seq.store(0, std::memory_order_relaxed);
+      s.valid = false;
     }
   }
 
-  [[nodiscard]] std::size_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  /// Inserts dropped because another writer held the slot concurrently.
-  [[nodiscard]] std::size_t lostInserts() const noexcept {
-    return lostInserts_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
+  [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
   [[nodiscard]] std::size_t memoryBytes() const noexcept {
     return slots_.size() * sizeof(Slot);
   }
 
  private:
-  struct Entry {
+  struct Slot {
     KeyT key{};
     ResultT result{};
+    bool valid = false;
   };
-  static_assert(std::is_trivially_copyable_v<KeyT> &&
-                    std::is_trivially_copyable_v<ResultT>,
-                "seqlock slots copy entries as raw words");
-  static constexpr std::size_t kWords = (sizeof(Entry) + 7) / 8;
-
-  struct Slot {
-    std::atomic<std::uint32_t> seq{0};
-    std::array<std::atomic<std::uint64_t>, kWords> data{};
-  };
-
   std::vector<Slot> slots_;
-  alignas(64) std::atomic<std::size_t> hits_{0};
-  alignas(64) std::atomic<std::size_t> misses_{0};
-  alignas(64) std::atomic<std::size_t> lostInserts_{0};
+  std::size_t hits_ = 0;
+  std::size_t misses_ = 0;
 };
 
 /// Key for multiply(left, right) with weights factored out of the cache.

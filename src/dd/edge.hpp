@@ -12,7 +12,6 @@
 //    (leftmost on ties) is exactly 1.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 
@@ -48,18 +47,12 @@ inline constexpr std::uint32_t kRefSaturated =
     std::numeric_limits<std::uint32_t>::max();
 
 /// Vector DD node: two outgoing edges (the |0> and |1> sub-vectors).
-///
-/// `ref` is atomic because the parallel DD recursion inc/decrements reference
-/// counts from multiple workers (relaxed RMWs — the count is a conservative
-/// liveness hint consumed only at single-threaded GC points). `e`, `v` and
-/// `next` are written before a node is published through the unique table's
-/// release-CAS and are immutable afterwards, so plain reads are race-free.
 struct vNode {
   static constexpr std::size_t kRadix = 2;
 
   std::array<Edge<vNode>, 2> e{};
   vNode* next = nullptr;  // unique-table chain
-  std::atomic<std::uint32_t> ref{0};
+  std::uint32_t ref = 0;
   Qubit v = -1;           // level; -1 marks the terminal
 
   [[nodiscard]] bool isTerminal() const noexcept { return v < 0; }
@@ -77,7 +70,7 @@ struct mNode {
 
   std::array<Edge<mNode>, 4> e{};
   mNode* next = nullptr;
-  std::atomic<std::uint32_t> ref{0};
+  std::uint32_t ref = 0;
   Qubit v = -1;
   /// True when this node represents an exact identity operator on qubits
   /// [0, v]. Set at unique-table insertion; DMAV's Run kernel turns identity

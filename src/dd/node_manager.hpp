@@ -1,107 +1,63 @@
 #pragma once
-// Node allocation (sharded chunked arenas + free lists) and per-level unique
-// tables. Both are safe for concurrent use by the parallel DD recursion:
+// Node allocation (chunked arena + free list) and per-level unique tables.
 //
-//  * NodePool shards its arena/free-list by a thread-hashed index, so
-//    concurrent allocations from different workers rarely contend on the
-//    same mutex. release() may run from any thread (a worker that loses a
-//    unique-table insertion race returns its speculative node here).
-//  * UniqueTable buckets are lock-free Treiber-style chains: lookup walks
-//    the chain from an acquire-loaded head (every interior `next` pointer
-//    was written before its node's release-CAS publication, so the walk
-//    observes fully initialized nodes); insertion CAS-publishes a new head
-//    and, on failure, re-scans only the freshly prepended prefix.
-//
-// garbageCollect() remains a quiescent-point operation: collect() and
-// forEach() assume no concurrent mutators (the Package only runs them
-// between gate applications).
+// Single-threaded by contract (see package.hpp): only the thread currently
+// mutating the owning Package calls allocate/release/getOrInsert/collect.
+// Nodes are immutable once inserted (apart from their refcount), so other
+// threads may walk finished DDs while no mutation is in flight.
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "dd/edge.hpp"
-#include "obs/metrics.hpp"
 
 namespace fdd::dd {
 
-/// Shard index of the calling thread: threads get a small dense id on first
-/// use and keep it for life, so a worker always allocates from "its" shard.
-[[nodiscard]] inline std::size_t poolShardOfThread() noexcept {
-  static std::atomic<unsigned> nextId{0};
-  thread_local const unsigned id =
-      nextId.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
-/// Sharded chunked arena with per-shard free lists. Nodes are recycled by
-/// the garbage collector (and by losers of unique-table insertion races);
-/// chunks are only released when the pool is destroyed, so node pointers
-/// stay stable for the Package's lifetime.
+/// Chunked arena with a free list. Nodes are recycled by the garbage
+/// collector; chunks are only released when the pool is destroyed, so node
+/// pointers stay stable for the Package's lifetime.
 template <typename NodeT>
 class NodePool {
  public:
   static constexpr std::size_t kChunkSize = 4096;
-  static constexpr std::size_t kShards = 16;
 
   NodeT* allocate() {
-    Shard& s = shards_[poolShardOfThread() % kShards];
-    const std::lock_guard<std::mutex> lock{s.m};
-    live_.fetch_add(1, std::memory_order_relaxed);
-    if (s.free != nullptr) {
-      NodeT* node = s.free;
-      s.free = node->next;
+    ++liveCount_;
+    if (free_ != nullptr) {
+      NodeT* node = free_;
+      free_ = node->next;
       return node;
     }
-    if (s.chunkPos == kChunkSize) {
-      s.chunks.push_back(std::make_unique<NodeT[]>(kChunkSize));
-      s.chunkPos = 0;
+    if (chunkPos_ == kChunkSize) {
+      chunks_.push_back(std::make_unique<NodeT[]>(kChunkSize));
+      chunkPos_ = 0;
     }
-    return &s.chunks.back()[s.chunkPos++];
+    return &chunks_.back()[chunkPos_++];
   }
 
   void release(NodeT* node) noexcept {
-    Shard& s = shards_[poolShardOfThread() % kShards];
-    const std::lock_guard<std::mutex> lock{s.m};
-    node->next = s.free;
-    node->ref.store(0, std::memory_order_relaxed);
-    s.free = node;
-    live_.fetch_sub(1, std::memory_order_relaxed);
+    node->next = free_;
+    node->ref = 0;
+    free_ = node;
+    --liveCount_;
   }
 
-  [[nodiscard]] std::size_t liveCount() const noexcept {
-    return live_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t liveCount() const noexcept { return liveCount_; }
   [[nodiscard]] std::size_t allocatedBytes() const noexcept {
-    std::size_t chunks = 0;
-    for (const Shard& s : shards_) {
-      const std::lock_guard<std::mutex> lock{s.m};
-      chunks += s.chunks.size();
-    }
-    return chunks * kChunkSize * sizeof(NodeT);
+    return chunks_.size() * kChunkSize * sizeof(NodeT);
   }
 
  private:
-  struct alignas(64) Shard {
-    mutable std::mutex m;
-    std::vector<std::unique_ptr<NodeT[]>> chunks;
-    std::size_t chunkPos = kChunkSize;
-    NodeT* free = nullptr;
-  };
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> live_{0};
+  std::vector<std::unique_ptr<NodeT[]>> chunks_;
+  std::size_t chunkPos_ = kChunkSize;
+  NodeT* free_ = nullptr;
+  std::size_t liveCount_ = 0;
 };
 
 /// Open-hashing unique table, one bucket array per level. getOrInsert is the
 /// single gateway through which nodes come into existence, which is what
-/// guarantees DD canonicity (identical sub-DDs share one node) — including
-/// under concurrency: when two workers race to insert the same node, exactly
-/// one CAS publishes it and the loser's speculative copy goes back to the
-/// pool, so canonicity is preserved without locks.
+/// guarantees DD canonicity (identical sub-DDs share one node).
 template <typename NodeT>
 class UniqueTable {
  public:
@@ -109,59 +65,35 @@ class UniqueTable {
   static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
 
   explicit UniqueTable(Qubit levels)
-      : levels_(static_cast<std::size_t>(levels)),
-        buckets_(levels_ * kBuckets) {}
+      : buckets_(static_cast<std::size_t>(levels) * kBuckets, nullptr) {}
 
   /// Finds a node with the given level/children or creates one. `created`
   /// reports whether a new node was inserted (callers then take ownership of
-  /// the children references). Thread-safe against concurrent getOrInsert.
+  /// the children references).
   NodeT* getOrInsert(Qubit level,
                      const std::array<Edge<NodeT>, NodeT::kRadix>& e,
                      NodePool<NodeT>& pool, bool& created) {
-    const std::uint64_t h = nodeHash(level, e);
-    std::atomic<NodeT*>& head = bucketAt(level, h);
-    NodeT* first = head.load(std::memory_order_acquire);
-    std::size_t probes = 0;
-    for (NodeT* cur = first; cur != nullptr; cur = cur->next) {
-      ++probes;
+    NodeT*& head = bucketAt(level, nodeHash(level, e));
+    for (NodeT* cur = head; cur != nullptr; cur = cur->next) {
       if (cur->e == e) {
-        recordProbes(probes);
         created = false;
         return cur;
       }
     }
-    recordProbes(probes);
     NodeT* node = pool.allocate();
     node->e = e;
     node->v = level;
-    node->ref.store(0, std::memory_order_relaxed);
-    NodeT* scanned = first;  // chain already searched up to here
-    for (;;) {
-      node->next = first;
-      if (head.compare_exchange_weak(first, node, std::memory_order_release,
-                                     std::memory_order_acquire)) {
-        count_.fetch_add(1, std::memory_order_relaxed);
-        created = true;
-        return node;
-      }
-      // Lost the head to a concurrent insert: someone may have published
-      // this very node. Re-scan only the prefix that is new since our scan.
-      FDD_OBS_COUNT("dd.unique.insert_races");
-      for (NodeT* cur = first; cur != scanned; cur = cur->next) {
-        if (cur->e == e) {
-          pool.release(node);
-          created = false;
-          return cur;
-        }
-      }
-      scanned = first;
-    }
+    node->ref = 0;
+    node->next = head;
+    head = node;
+    ++count_;
+    created = true;
+    return node;
   }
 
   /// Removes dead nodes (ref == 0), returning them to the pool and
   /// decrementing children references via `decRefChild`. Runs passes until a
-  /// fixpoint so chains of dead parents collapse in one call. Quiescent-point
-  /// only: assumes no concurrent getOrInsert.
+  /// fixpoint so chains of dead parents collapse in one call.
   template <typename DecRefChild>
   std::size_t collect(NodePool<NodeT>& pool, DecRefChild&& decRefChild) {
     std::size_t collected = 0;
@@ -169,72 +101,50 @@ class UniqueTable {
     while (removedAny) {
       removedAny = false;
       for (auto& head : buckets_) {
-        // Unlink dead nodes by rebuilding the chain in place. Plain `next`
-        // rewrites are fine at a quiescent point; the final head store is a
-        // release so post-GC readers see the rebuilt chain.
-        NodeT* cur = head.load(std::memory_order_relaxed);
-        NodeT* newHead = nullptr;
-        NodeT** tail = &newHead;
-        while (cur != nullptr) {
-          NodeT* next = cur->next;
-          if (cur->ref.load(std::memory_order_relaxed) == 0) {
+        NodeT** link = &head;
+        while (*link != nullptr) {
+          NodeT* cur = *link;
+          if (cur->ref == 0) {
+            *link = cur->next;
             for (const auto& child : cur->e) {
               decRefChild(child);
             }
             pool.release(cur);
-            count_.fetch_sub(1, std::memory_order_relaxed);
+            --count_;
             ++collected;
             removedAny = true;
           } else {
-            *tail = cur;
-            tail = &cur->next;
+            link = &cur->next;
           }
-          cur = next;
         }
-        *tail = nullptr;
-        head.store(newHead, std::memory_order_release);
       }
     }
     return collected;
   }
 
-  /// Visits every live node. Quiescent-point only.
+  /// Visits every live node.
   template <typename F>
   void forEach(F&& fn) const {
-    for (const auto& head : buckets_) {
-      for (NodeT* cur = head.load(std::memory_order_acquire); cur != nullptr;
-           cur = cur->next) {
+    for (const NodeT* head : buckets_) {
+      for (const NodeT* cur = head; cur != nullptr; cur = cur->next) {
         fn(cur);
       }
     }
   }
 
-  [[nodiscard]] std::size_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] std::size_t memoryBytes() const noexcept {
-    return buckets_.size() * sizeof(std::atomic<NodeT*>);
+    return buckets_.size() * sizeof(NodeT*);
   }
 
  private:
-  std::atomic<NodeT*>& bucketAt(Qubit level, std::uint64_t hash) {
+  NodeT*& bucketAt(Qubit level, std::uint64_t hash) {
     const std::size_t slot = hash & (kBuckets - 1);
     return buckets_[static_cast<std::size_t>(level) * kBuckets + slot];
   }
 
-  static void recordProbes(std::size_t probes) noexcept {
-#if FDD_OBS_ENABLED
-    static obs::Histogram& hist =
-        obs::Registry::instance().histogram("dd.unique.probe_len");
-    hist.record(probes);
-#else
-    (void)probes;
-#endif
-  }
-
-  std::size_t levels_;
-  std::vector<std::atomic<NodeT*>> buckets_;
-  std::atomic<std::size_t> count_{0};
+  std::vector<NodeT*> buckets_;
+  std::size_t count_ = 0;
 };
 
 }  // namespace fdd::dd

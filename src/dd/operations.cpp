@@ -2,21 +2,10 @@
 // step), and matrix-matrix multiplication (DDMM, used by gate fusion).
 // All three are memoized in compute tables; multiplication factors operand
 // weights out of the cache key so one cached entry serves every scaled pair.
-//
-// The mat-vec recursion — the per-gate hot path of DD simulation — also has
-// a fork/join variant (multiplyParallel): above a depth-based grain cutoff
-// each of the four weight-1 subproducts becomes a TaskArena task; below it
-// the unchanged sequential recursion runs inside the task. Every table the
-// recursion touches (unique, compute, complex) is thread-safe, so the
-// sequential and parallel variants are free to interleave; duplicated work
-// from concurrent cache misses is benign because results are canonical.
 
-#include <algorithm>
 #include <cassert>
 
 #include "dd/package.hpp"
-#include "obs/metrics.hpp"
-#include "parallel/task_arena.hpp"
 
 namespace fdd::dd {
 
@@ -126,11 +115,6 @@ mEdge Package::addRec(const mEdge& a0, const mEdge& b0, Qubit level) {
 // ---------------------------------------------------------------------------
 
 vEdge Package::multiply(const mEdge& m, const vEdge& v) {
-  const unsigned threads =
-      std::min<unsigned>(ddThreads_, par::globalPool().size());
-  if (threads > 1 && vUnique_.count() >= ddParallelMinNodes_) {
-    return multiplyParallel(m, v, threads);
-  }
   return mulRec(m, v, nQubits_ - 1);
 }
 
@@ -169,129 +153,6 @@ vEdge Package::mulRec(const mEdge& m, const vEdge& v, Qubit level) {
   }
   const Complex scaled = ctable_.lookup(res.w * w);
   return scaled == Complex{} ? vEdge::zero() : vEdge{res.n, scaled};
-}
-
-// ---------------------------------------------------------------------------
-// Parallel matrix-vector multiplication (fork/join over the TaskArena)
-// ---------------------------------------------------------------------------
-
-Qubit Package::spawnCutoffFor(unsigned threads) const noexcept {
-  if (ddGrain_ >= 0) {
-    return static_cast<Qubit>(std::min<int>(ddGrain_, nQubits_));
-  }
-  // Spawn through the top D levels so the fan-out (up to 4^D mul tasks plus
-  // the adds) comfortably oversubscribes the workers for load balance:
-  // smallest D with 4^D >= 8 * threads, capped well below any real register.
-  int depth = 1;
-  while ((std::uint64_t{1} << (2 * depth)) < 8ull * threads && depth < 8) {
-    ++depth;
-  }
-  return static_cast<Qubit>(std::max(0, static_cast<int>(nQubits_) - depth));
-}
-
-vEdge Package::multiplyParallel(const mEdge& m, const vEdge& v,
-                                unsigned threads) {
-  spawnCutoff_ = spawnCutoffFor(threads);
-  obs::PoolPhaseScope phase{"dd.multiply"};
-  par::TaskArena arena;
-  arena_ = &arena;
-  vEdge result = vEdge::zero();
-  arena.run(par::globalPool(), threads,
-            [&] { result = mulRecPar(m, v, nQubits_ - 1); });
-  arena_ = nullptr;
-  if (obs::enabled()) {
-    // One point per parallel gate: cumulative compute-table health for the
-    // mat-vec path, as counter tracks next to dd.size in trace_summarize.
-    const auto hits = static_cast<double>(mvTable_.hits() + vAddTable_.hits());
-    const auto misses =
-        static_cast<double>(mvTable_.misses() + vAddTable_.misses());
-    obs::counterEvent("dd.compute.hit_rate",
-                      hits + misses == 0 ? 0 : hits / (hits + misses));
-    obs::counterEvent(
-        "dd.compute.lost_inserts",
-        static_cast<double>(mvTable_.lostInserts() + vAddTable_.lostInserts()));
-  }
-  return result;
-}
-
-vEdge Package::mulRecPar(const mEdge& m, const vEdge& v, Qubit level) {
-  if (level < spawnCutoff_) {
-    return mulRec(m, v, level);  // below the grain: plain recursion
-  }
-  if (m.isZero() || v.isZero()) {
-    return vEdge::zero();
-  }
-  const Complex w = ctable_.lookup(m.w * v.w);
-  if (w == Complex{}) {
-    return vEdge::zero();
-  }
-  assert(m.n->v == level && v.n->v == level);
-  const MulKey<mNode, vNode> key{m.n, v.n};
-  if (vEdge hit; mvTable_.lookup(key, hit)) {
-    if (hit.isZero()) {
-      return vEdge::zero();
-    }
-    const Complex scaled = ctable_.lookup(hit.w * w);
-    return scaled == Complex{} ? vEdge::zero() : vEdge{hit.n, scaled};
-  }
-  // Fork the four weight-1 subproducts (three spawned, one inline), then
-  // the two pairwise adds (one spawned, one inline). Joins run LIFO so an
-  // unstolen task executes inline exactly like sequential recursion.
-  vEdge p00, p01, p10, p11;
-  par::LambdaTask t00{[&] { p00 = mulRecPar(m.n->e[0], v.n->e[0], level - 1); }};
-  par::LambdaTask t01{[&] { p01 = mulRecPar(m.n->e[1], v.n->e[1], level - 1); }};
-  par::LambdaTask t10{[&] { p10 = mulRecPar(m.n->e[2], v.n->e[0], level - 1); }};
-  arena_->spawn(t00.task());
-  arena_->spawn(t01.task());
-  arena_->spawn(t10.task());
-  p11 = mulRecPar(m.n->e[3], v.n->e[1], level - 1);
-  arena_->join(t10.task());
-  arena_->join(t01.task());
-  arena_->join(t00.task());
-  std::array<vEdge, 2> r;
-  par::LambdaTask tAdd{[&] { r[0] = addRecPar(p00, p01, level - 1); }};
-  arena_->spawn(tAdd.task());
-  r[1] = addRecPar(p10, p11, level - 1);
-  arena_->join(tAdd.task());
-  const vEdge res = makeVectorNode(level, r);
-  mvTable_.insert(key, res);
-  if (res.isZero()) {
-    return vEdge::zero();
-  }
-  const Complex scaled = ctable_.lookup(res.w * w);
-  return scaled == Complex{} ? vEdge::zero() : vEdge{res.n, scaled};
-}
-
-vEdge Package::addRecPar(const vEdge& a0, const vEdge& b0, Qubit level) {
-  if (level < spawnCutoff_) {
-    return addRec(a0, b0, level);
-  }
-  if (a0.isZero()) {
-    return b0;
-  }
-  if (b0.isZero()) {
-    return a0;
-  }
-  vEdge a = a0;
-  vEdge b = b0;
-  orderOperands(a, b);
-  const AddKey<vNode> key{a, b};
-  if (vEdge hit; vAddTable_.lookup(key, hit)) {
-    return hit;
-  }
-  assert(a.n->v == level && b.n->v == level);
-  std::array<vEdge, 2> r;
-  par::LambdaTask t0{[&] {
-    r[0] = addRecPar(scaledChild(a, 0, ctable_), scaledChild(b, 0, ctable_),
-                     level - 1);
-  }};
-  arena_->spawn(t0.task());
-  r[1] = addRecPar(scaledChild(a, 1, ctable_), scaledChild(b, 1, ctable_),
-                   level - 1);
-  arena_->join(t0.task());
-  const vEdge res = makeVectorNode(level, r);
-  vAddTable_.insert(key, res);
-  return res;
 }
 
 // ---------------------------------------------------------------------------

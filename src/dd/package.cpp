@@ -1,7 +1,7 @@
 #include "dd/package.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -10,37 +10,11 @@
 
 namespace fdd::dd {
 
-namespace {
-
-/// FLATDD_DD_GRAIN: process-wide recursion grain override (parsed once).
-/// 0 forces maximal task fan-out (CI exercises this), large values force
-/// sequential recursion; unset/-1 keeps the automatic cutoff.
-int envDdGrain() noexcept {
-  static const int value = [] {
-    const char* e = std::getenv("FLATDD_DD_GRAIN");
-    if (e == nullptr || *e == '\0') {
-      return -1;
-    }
-    return std::atoi(e);
-  }();
-  return value;
-}
-
-void atomicMaxRelaxed(std::atomic<std::size_t>& a, std::size_t v) noexcept {
-  std::size_t cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
 Package::Package(Qubit nQubits, fp tolerance)
     : nQubits_{nQubits},
       ctable_{tolerance},
       vUnique_{nQubits},
-      mUnique_{nQubits},
-      ddGrain_{envDdGrain()} {
+      mUnique_{nQubits} {
   if (nQubits < 1 || nQubits > 40) {
     throw std::invalid_argument("Package: qubit count must be in [1, 40]");
   }
@@ -113,14 +87,14 @@ Edge<NodeT> Package::normalize(Qubit level,
 vEdge Package::makeVectorNode(Qubit level, std::array<vEdge, 2> e) {
   assert(level >= 0 && level < nQubits_);
   const vEdge r = normalize(level, e, vPool_, vUnique_);
-  atomicMaxRelaxed(peakVNodes_, vUnique_.count());
+  peakVNodes_ = std::max(peakVNodes_, vUnique_.count());
   return r;
 }
 
 mEdge Package::makeMatrixNode(Qubit level, std::array<mEdge, 4> e) {
   assert(level >= 0 && level < nQubits_);
   const mEdge r = normalize(level, e, mPool_, mUnique_);
-  atomicMaxRelaxed(peakMNodes_, mUnique_.count());
+  peakMNodes_ = std::max(peakMNodes_, mUnique_.count());
   return r;
 }
 
@@ -228,39 +202,32 @@ vEdge Package::swapAdjacentRec(const vEdge& e, Qubit lower,
 // Reference counting & garbage collection
 // ---------------------------------------------------------------------------
 
-namespace {
+// Terminal nodes (and anything that ever hits the ceiling) stay pinned at
+// kRefSaturated forever and are never written, which is what lets packages
+// on different threads share the static terminals.
 
-// Saturation-aware atomic ref updates: terminal nodes (and anything that
-// ever hits the ceiling) stay pinned at kRefSaturated forever, so the CAS
-// loop never writes them — which also keeps the shared terminals free of
-// cross-thread cache-line traffic.
-template <typename NodeT>
-void incRefImpl(NodeT* n) noexcept {
-  std::uint32_t cur = n->ref.load(std::memory_order_relaxed);
-  while (cur != kRefSaturated &&
-         !n->ref.compare_exchange_weak(cur, cur + 1,
-                                       std::memory_order_relaxed)) {
+void Package::incRefNode(vNode* n) noexcept {
+  if (n->ref != kRefSaturated) {
+    ++n->ref;
   }
 }
-
-template <typename NodeT>
-void decRefImpl(NodeT* n) noexcept {
-  std::uint32_t cur = n->ref.load(std::memory_order_relaxed);
-  while (cur != kRefSaturated) {
-    assert(cur > 0);
-    if (n->ref.compare_exchange_weak(cur, cur - 1,
-                                     std::memory_order_relaxed)) {
-      return;
-    }
+void Package::incRefNode(mNode* n) noexcept {
+  if (n->ref != kRefSaturated) {
+    ++n->ref;
   }
 }
-
-}  // namespace
-
-void Package::incRefNode(vNode* n) noexcept { incRefImpl(n); }
-void Package::incRefNode(mNode* n) noexcept { incRefImpl(n); }
-void Package::decRefNode(vNode* n) noexcept { decRefImpl(n); }
-void Package::decRefNode(mNode* n) noexcept { decRefImpl(n); }
+void Package::decRefNode(vNode* n) noexcept {
+  if (n->ref != kRefSaturated) {
+    assert(n->ref > 0);
+    --n->ref;
+  }
+}
+void Package::decRefNode(mNode* n) noexcept {
+  if (n->ref != kRefSaturated) {
+    assert(n->ref > 0);
+    --n->ref;
+  }
+}
 
 void Package::garbageCollect(bool force) {
   const std::size_t live = vUnique_.count() + mUnique_.count();
@@ -319,8 +286,8 @@ PackageStats Package::stats() const {
   PackageStats s;
   s.vNodesLive = vUnique_.count();
   s.mNodesLive = mUnique_.count();
-  s.peakVNodes = peakVNodes_.load(std::memory_order_relaxed);
-  s.peakMNodes = peakMNodes_.load(std::memory_order_relaxed);
+  s.peakVNodes = peakVNodes_;
+  s.peakMNodes = peakMNodes_;
   s.gcRuns = gcRuns_;
   s.gcCollected = gcCollected_;
   s.memoryBytes = vPool_.allocatedBytes() + mPool_.allocatedBytes() +
@@ -332,8 +299,6 @@ PackageStats Package::stats() const {
                   mmTable_.hits();
   s.computeMisses = vAddTable_.misses() + mAddTable_.misses() +
                     mvTable_.misses() + mmTable_.misses();
-  s.computeLostInserts = vAddTable_.lostInserts() + mAddTable_.lostInserts() +
-                         mvTable_.lostInserts() + mmTable_.lostInserts();
   if (obs::enabled()) {
     // Publish as gauges so the engine's registry snapshot (and therefore
     // RunReport.metrics) carries the final table health of the run —
@@ -341,8 +306,6 @@ PackageStats Package::stats() const {
     auto& reg = obs::Registry::instance();
     reg.gauge("dd.compute.hits").set(static_cast<double>(s.computeHits));
     reg.gauge("dd.compute.misses").set(static_cast<double>(s.computeMisses));
-    reg.gauge("dd.compute.lost_inserts")
-        .set(static_cast<double>(s.computeLostInserts));
   }
   return s;
 }

@@ -5,17 +5,17 @@
 // the QMDD substrate that DDSIM [99] builds on; FlatDD's DMAV reads matrix
 // DDs produced here.
 //
-// Thread-safety: the node-producing substrate (complex table, node pools,
-// unique tables, compute tables, reference counts) is concurrent, so DD
-// operations may run from multiple workers at once — the parallel mat-vec
-// recursion (setDdThreads) relies on exactly that. Garbage collection,
-// table flushes and complex-table rebuilds remain quiescent-point
-// operations: the Package only runs them between gate applications, never
-// concurrently with operations. Concurrent *reads* of finished DDs (what
-// DMAV and the parallel DD-to-array conversion do) are safe because nodes
-// are immutable after insertion.
+// Thread-safety contract: only one thread at a time may mutate a Package —
+// build nodes, run operations, change refcounts, collect garbage. Nothing
+// inside it is synchronized, so callers that share a Package across threads
+// (service sessions on a job queue) must serialize those calls themselves.
+// Concurrent *reads* of finished DDs are allowed while no mutation is in
+// flight, because nodes are immutable after insertion: the parallel
+// DD-to-array conversion and DMAV plan compile/replay walk matrix and state
+// DDs from several pool workers at once. A structure that pins nodes of a
+// package it does not own (the shared PlanCache) hands the unpin back to the
+// owner instead of calling decRef from its own thread.
 
-#include <atomic>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -29,10 +29,6 @@
 #include "dd/node_manager.hpp"
 #include "qc/gate.hpp"
 
-namespace fdd::par {
-class TaskArena;
-}  // namespace fdd::par
-
 namespace fdd::dd {
 
 struct PackageStats {
@@ -43,12 +39,9 @@ struct PackageStats {
   std::size_t gcRuns = 0;
   std::size_t gcCollected = 0;
   std::size_t memoryBytes = 0;  // arenas + tables, approximate
-  // Compute-table health, summed over the four memo tables. lostInserts
-  // counts results recomputed because a concurrent writer held the slot —
-  // the price of the lossy lock-free insert (see compute_table.hpp).
+  // Compute-table health, summed over the four memo tables.
   std::size_t computeHits = 0;
   std::size_t computeMisses = 0;
-  std::size_t computeLostInserts = 0;
 };
 
 class Package {
@@ -122,9 +115,6 @@ class Package {
   /// bits exchanged — but costs O(live nodes at/above `lower`) instead of a
   /// full mat-vec. The input edge is not modified and the result is
   /// unreferenced; the caller incRefs it before the next garbageCollect().
-  /// Quiescent-point only: the rewrite allocates through the (concurrent)
-  /// unique/complex tables but must not race a GC or table rebuild, so call
-  /// it between gate applications like any other structural operation.
   /// `lower` must be in [0, numQubits() - 2].
   [[nodiscard]] vEdge swapAdjacent(const vEdge& state, Qubit lower);
 
@@ -221,33 +211,10 @@ class Package {
     ctableRebuildThreshold_ = entries;
   }
 
-  // ---- DD-phase parallelism ----------------------------------------------
-  /// Workers the mat-vec recursion may fan out onto (clamped to the global
-  /// pool size at use). 1 (the default) keeps multiply() fully sequential —
-  /// the DDSIM-baseline semantics.
-  void setDdThreads(unsigned threads) noexcept {
-    ddThreads_ = threads == 0 ? 1 : threads;
-  }
-  [[nodiscard]] unsigned ddThreads() const noexcept { return ddThreads_; }
-
-  /// Grain cutoff override: the recursion spawns tasks only at DD levels
-  /// >= the cutoff (0 = spawn everywhere, >= numQubits() = never spawn).
-  /// -1 restores the automatic cutoff derived from the thread count. The
-  /// FLATDD_DD_GRAIN environment variable provides the same override
-  /// process-wide (an explicit call here wins).
-  void setDdGrain(int cutoffLevel) noexcept { ddGrain_ = cutoffLevel; }
-
-  /// The parallel path only engages once the state DD holds at least this
-  /// many nodes — below it fork/join overhead dominates (tests set 0 to
-  /// force the parallel path deterministically).
-  void setDdParallelMinNodes(std::size_t nodes) noexcept {
-    ddParallelMinNodes_ = nodes;
-  }
-
   /// Debug/test invariant scan over both unique tables: no duplicate
   /// (level, children) pairs and every node's weights normalized (largest-
   /// magnitude weight exactly 1, zeros canonical). O(live nodes); intended
-  /// for tests (the concurrent stress suite calls it after joining).
+  /// for tests.
   [[nodiscard]] bool checkCanonical() const;
 
  private:
@@ -266,16 +233,6 @@ class Package {
   [[nodiscard]] mEdge addRec(const mEdge& a, const mEdge& b, Qubit level);
   [[nodiscard]] vEdge mulRec(const mEdge& m, const vEdge& v, Qubit level);
   [[nodiscard]] mEdge mulRec(const mEdge& a, const mEdge& b, Qubit level);
-
-  /// Fork/join mat-vec over a TaskArena (operations.cpp). The *Par variants
-  /// spawn subproblems at levels >= spawnCutoff_ and fall through to the
-  /// sequential recursions below it (every table is thread-safe, so the
-  /// sequential code runs unchanged inside tasks).
-  [[nodiscard]] vEdge multiplyParallel(const mEdge& m, const vEdge& v,
-                                       unsigned threads);
-  [[nodiscard]] vEdge mulRecPar(const mEdge& m, const vEdge& v, Qubit level);
-  [[nodiscard]] vEdge addRecPar(const vEdge& a, const vEdge& b, Qubit level);
-  [[nodiscard]] Qubit spawnCutoffFor(unsigned threads) const noexcept;
 
   [[nodiscard]] vEdge swapAdjacentRec(
       const vEdge& e, Qubit lower,
@@ -338,15 +295,8 @@ class Package {
 
   std::vector<mEdge> identCache_;  // [level] -> identity on qubits [0..level]
 
-  // ---- DD-phase parallelism state ---------------------------------------
-  unsigned ddThreads_ = 1;
-  int ddGrain_;  // level cutoff override; -1 = auto (set from env in ctor)
-  std::size_t ddParallelMinNodes_ = 128;
-  Qubit spawnCutoff_ = 0;          // valid during multiplyParallel
-  par::TaskArena* arena_ = nullptr;  // non-null during multiplyParallel
-
-  std::atomic<std::size_t> peakVNodes_{0};
-  std::atomic<std::size_t> peakMNodes_{0};
+  std::size_t peakVNodes_ = 0;
+  std::size_t peakMNodes_ = 0;
   std::size_t gcRuns_ = 0;
   std::size_t gcCollected_ = 0;
   std::size_t gcThreshold_ = 1u << 16;

@@ -18,14 +18,7 @@ namespace {
 class DDBackend final : public Backend {
  public:
   DDBackend(Qubit nQubits, const EngineOptions& options)
-      : sim_{nQubits, options.tolerance}, record_{options.recordPerGate} {
-    // Unlike flatdd, ddThreads == 0 stays sequential here: the dd backend is
-    // the single-threaded DDSIM baseline and must not silently inherit the
-    // run-wide `threads` knob.
-    if (options.ddThreads > 1) {
-      sim_.setThreads(options.ddThreads);
-    }
-  }
+      : sim_{nQubits, options.tolerance}, record_{options.recordPerGate} {}
 
   [[nodiscard]] std::string name() const override { return "dd"; }
   [[nodiscard]] Qubit numQubits() const override { return sim_.numQubits(); }

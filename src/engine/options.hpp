@@ -26,10 +26,7 @@ namespace fdd::engine {
 ///   "fusion-kops"  — k-operations fusion baseline; armed like fusion-dmav.
 struct EngineOptions {
   unsigned threads = 1;
-  /// Workers for the parallel DD-phase mat-vec recursion (ISSUE 7). The
-  /// flatdd backend treats 0 as "follow `threads`"; the dd backend treats 0
-  /// as sequential, preserving the single-threaded DDSIM baseline that
-  /// Table 1 compares against. Set explicitly to parallelize the dd backend.
+  /// Unused. Only perfbench reads it; drop at the next benchmark revision.
   unsigned ddThreads = 0;
   /// Below this state-vector size per-gate kernels run single-threaded.
   Index parallelThresholdDim = kParallelThresholdDim;
@@ -103,7 +100,6 @@ struct EngineOptions {
   [[nodiscard]] flat::FlatDDOptions toFlatOptions() const {
     flat::FlatDDOptions o;
     o.threads = threads;
-    o.ddThreads = ddThreads;
     o.beta = ewmaBeta;
     o.epsilon = ewmaEpsilon;
     o.warmupGates = ewmaWarmupGates;

@@ -1,9 +1,6 @@
 #include "flatdd/cost_model.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -110,20 +107,6 @@ fp dmavCostTierAware(const dd::mEdge& m, Qubit nQubits, unsigned threads) {
   return c;
 }
 
-fp ddPhaseSpeedup(unsigned threads, unsigned coreCap) {
-  if (coreCap == 0) {
-    if (const char* env = std::getenv("FLATDD_DD_ASSUME_CORES")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) {
-        coreCap = static_cast<unsigned>(v);
-      }
-    }
-    if (coreCap == 0) {
-      coreCap = std::max(1u, std::thread::hardware_concurrency());
-    }
-  }
-  const unsigned t = std::min(threads, coreCap);
-  return t <= 1 ? fp{1} : std::sqrt(static_cast<fp>(t));
-}
+fp ddPhaseSpeedup(unsigned /*threads*/) { return 1; }
 
 }  // namespace fdd::flat

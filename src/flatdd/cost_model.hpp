@@ -49,21 +49,7 @@ namespace fdd::flat {
 [[nodiscard]] fp dmavCostTierAware(const dd::mEdge& m, Qubit nQubits,
                                    unsigned threads);
 
-/// Expected DD-phase per-gate speedup from running the mat-vec recursion on
-/// `threads` workers. The EWMA trigger compares per-gate DD cost (~ s_i)
-/// against array cost, so when the DD phase gets faster the break-even DD
-/// size grows by the same factor — the monitor multiplies its epsilon by
-/// this to move the conversion point later. sqrt(t) is deliberately
-/// conservative: the recursion's speedup is sublinear (shared-table
-/// contention, task overhead, Amdahl on small sub-DDs).
-///
-/// `threads` is clamped to `coreCap` before the sqrt: oversubscribed workers
-/// add no physical parallelism, and an optimistic model here is dangerous —
-/// DD size grows exponentially on dense families, so assuming a speedup that
-/// never materializes delays conversion past the blow-up point (measured:
-/// 600x on supremacy-16 when an 8-thread model ran on one core). coreCap 0
-/// means "detect": FLATDD_DD_ASSUME_CORES if set (containers and benches can
-/// pin the model's view of the machine), else hardware_concurrency().
-[[nodiscard]] fp ddPhaseSpeedup(unsigned threads, unsigned coreCap = 0);
+/// Returns 1. Only perfbench calls it; drop at the next benchmark revision.
+[[nodiscard]] fp ddPhaseSpeedup(unsigned threads);
 
 }  // namespace fdd::flat

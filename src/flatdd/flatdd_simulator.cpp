@@ -14,28 +14,17 @@
 
 namespace fdd::flat {
 
-namespace {
-/// 0 = follow the DMAV thread count; otherwise the explicit DD-phase value.
-unsigned effectiveDdThreads(const FlatDDOptions& o) noexcept {
-  return o.ddThreads == 0 ? o.threads : o.ddThreads;
-}
-}  // namespace
-
 FlatDDSimulator::FlatDDSimulator(Qubit nQubits, FlatDDOptions options)
     : nQubits_{nQubits},
       options_{options},
       ddSim_{nQubits, options.tolerance},
-      // A parallel DD phase is ddPhaseSpeedup(t) faster per gate, so the
-      // DD-vs-array break-even DD size — epsilon's job — grows by the same
-      // factor, moving the conversion point later (measured in fig12).
-      // Symmetrically, a faster *array* phase (AVX-512 tier vs the AVX2
-      // reference, measured by simd::arrayPhaseSpeedup()) shrinks the
-      // break-even size, moving conversion earlier; the factor is exactly
-      // 1.0 on AVX2 hosts so calibrated tiers only ever shift the trigger
-      // where the kernels are genuinely faster.
-      ewma_{options.beta,
-            options.epsilon * ddPhaseSpeedup(effectiveDdThreads(options)) /
-                simd::arrayPhaseSpeedup(),
+      // A faster array phase (AVX-512 tier vs the AVX2 reference, measured
+      // by simd::arrayPhaseSpeedup()) shrinks the DD-vs-array break-even DD
+      // size — epsilon's job — moving conversion earlier; the factor is
+      // exactly 1.0 on AVX2 hosts so calibrated tiers only ever shift the
+      // trigger where the kernels are genuinely faster. The DD phase is
+      // sequential, so the thread count never moves the trigger.
+      ewma_{options.beta, options.epsilon / simd::arrayPhaseSpeedup(),
             options.warmupGates, options.minDDSize},
       planCache_{options.sharedPlanCache != nullptr
                      ? 0
@@ -45,7 +34,6 @@ FlatDDSimulator::FlatDDSimulator(Qubit nQubits, FlatDDOptions options)
   // stats_ is a member, so the log vector's address is stable across reset()
   // (which assigns a fresh FlatDDStats into the same object).
   ewma_.attachLog(&stats_.ewmaLog);
-  ddSim_.setThreads(effectiveDdThreads(options_));
   resetOrdering();
 }
 
@@ -154,7 +142,7 @@ void FlatDDSimulator::simulate(const qc::Circuit& circuit) {
       convertToFlat(i + 1);
     }
   }
-  stats_.ddPhaseSeconds = ddPhase.seconds();
+  stats_.ddPhaseSeconds += ddPhase.seconds();
   if (!flatPhase_) {
     return;  // the whole circuit stayed regular (e.g. Adder, GHZ)
   }
@@ -175,7 +163,7 @@ void FlatDDSimulator::simulate(const qc::Circuit& circuit) {
     gates = kOperationsFusion(pkg, gates, options_.kOperations,
                               options_.threads);
   }
-  stats_.fusionSeconds = fusionClock.seconds();
+  stats_.fusionSeconds += fusionClock.seconds();
 
   // ---- Phase 2: DMAV --------------------------------------------------------
   Stopwatch dmavPhase;
@@ -223,7 +211,7 @@ void FlatDDSimulator::simulate(const qc::Circuit& circuit) {
     ++g;
   }
   pkg.garbageCollect(true);
-  stats_.dmavPhaseSeconds = dmavPhase.seconds();
+  stats_.dmavPhaseSeconds += dmavPhase.seconds();
 }
 
 void FlatDDSimulator::convertToFlat(std::size_t gateIndex) {

@@ -30,14 +30,6 @@ enum class FusionMode : std::uint8_t {
 
 struct FlatDDOptions {
   unsigned threads = 16;
-  /// Workers for the parallel DD-phase mat-vec recursion (ISSUE 7). 0 means
-  /// "follow `threads`"; 1 pins the DD phase to the sequential recursion.
-  /// When the DD phase runs parallel, the EWMA epsilon is scaled by
-  /// ddPhaseSpeedup(threads) so the conversion point moves later — a faster
-  /// DD phase shifts the DD-vs-array break-even toward larger DDs. The
-  /// speedup model clamps at the physical core count (see cost_model.hpp),
-  /// so oversubscribing never delays conversion.
-  unsigned ddThreads = 0;
   fp beta = 0.9;             // EWMA history weight (paper default)
   fp epsilon = 2.0;          // EWMA trigger threshold (paper default)
   std::size_t warmupGates = 8;

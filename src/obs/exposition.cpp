@@ -1,5 +1,7 @@
 #include "obs/exposition.hpp"
 
+#include <algorithm>
+
 #include "common/json.hpp"
 
 namespace fdd::obs {
@@ -123,9 +125,13 @@ void writePrometheusText(const ObsSnapshot& snap, std::string& out) {
       out += std::to_string(cumulative);
       out += '\n';
     }
+    // The count and the buckets are read one by one while writers may
+    // still record, so they can disagree mid-scrape; +Inf must never fall
+    // below the last finite bucket.
+    const std::uint64_t total = std::max(cumulative, h.count);
     out += family;
     out += "_bucket{le=\"+Inf\"} ";
-    out += std::to_string(h.count);
+    out += std::to_string(total);
     out += '\n';
     out += family;
     out += "_sum ";
@@ -133,7 +139,7 @@ void writePrometheusText(const ObsSnapshot& snap, std::string& out) {
     out += '\n';
     out += family;
     out += "_count ";
-    out += std::to_string(h.count);
+    out += std::to_string(total);
     out += '\n';
   }
 

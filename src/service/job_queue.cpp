@@ -285,6 +285,12 @@ void JobQueue::finish(const JobHandle& job, JobState state,
   const std::uint64_t endNs = monotonicNs();
   const std::uint64_t latencyNs = endNs - job->submitNs_;
   const std::uint64_t startNs = job->startNs_.load(std::memory_order_relaxed);
+  // Leave the running set before waiters can observe the terminal state, so
+  // a scan after wait() returns never sees the finished job as running.
+  {
+    const std::lock_guard lock{mutex_};
+    running_.erase(job.get());
+  }
   std::function<void(const par::CancelToken&)> fn;
   {
     const std::lock_guard lock{job->mutex_};
@@ -309,10 +315,6 @@ void JobQueue::finish(const JobHandle& job, JobState state,
   fn = nullptr;
   latencyHistogram().record(latencyNs);
   job->done_.notify_all();
-  {
-    const std::lock_guard lock{mutex_};
-    running_.erase(job.get());
-  }
   if (job->orderKey_ != 0) {
     bool promoted = false;
     {

@@ -464,12 +464,6 @@ std::string Service::dispatch(std::string_view line,
     if (threads > 0) {
       cfg.engine.threads = static_cast<unsigned>(threads);
     }
-    // DD-phase worker count (0 = backend default). SessionManager::open
-    // clamps it against the global pool, so over-asking is harmless.
-    const auto ddThreads = getUInt(obj, "dd_threads", 0, 1024);
-    if (ddThreads > 0) {
-      cfg.engine.ddThreads = static_cast<unsigned>(ddThreads);
-    }
     // "ordering": true arms the scored static-ordering pass; the engine
     // scores the session's first gate batch and permutes transparently.
     if (getBool(obj, "ordering")) {

@@ -7,8 +7,7 @@
 //
 // Requests: {"op": "...", ...}. Operations:
 //   ping       -> {"ok":true,"op":"ping"}
-//   open       backend?, qubits, seed? (decimal string or number), threads?,
-//              dd_threads? (DD-phase mat-vec workers, clamped to the pool)
+//   open       backend?, qubits, seed? (decimal string or number), threads?
 //              -> {"ok":true,"session":ID}
 //   apply      session, gates:[{"gate":"h","target":0,"controls":[],
 //              "params":[]}...] and/or qasm:"...", priority?, deadline_ms?,

@@ -1,7 +1,6 @@
 #include "service/session_manager.hpp"
 
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace fdd::svc {
 
@@ -43,15 +42,6 @@ SessionManager::~SessionManager() {
 }
 
 std::shared_ptr<Session> SessionManager::open(SessionConfig config) {
-  // DD-phase workers execute on the global data-parallel pool, which every
-  // session (and every DMAV kernel) shares. A session asking for more DD
-  // threads than the pool has would only queue fork/join tasks it can never
-  // run concurrently, so clamp the request to the real budget here — the one
-  // place every open path funnels through.
-  const auto poolSize = static_cast<unsigned>(par::globalPool().size());
-  if (config.engine.ddThreads > poolSize) {
-    config.engine.ddThreads = poolSize;
-  }
   std::uint64_t id = 0;
   {
     const std::lock_guard lock{mutex_};

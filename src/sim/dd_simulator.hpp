@@ -1,10 +1,7 @@
 #pragma once
 // DD-based simulator — the DDSIM [99] baseline: one DD matrix-vector
-// multiplication per gate. Sequential by default (DDSIM does not support
-// multi-threading; Table 1 runs it on one thread for the same reason), but
-// setThreads(t > 1) fans the per-gate mat-vec recursion out over the global
-// thread pool once the state DD is large enough to amortize fork/join —
-// that is FlatDD's parallel DD phase (ISSUE 7), not part of the baseline.
+// multiplication per gate, single-threaded (DDSIM does not support
+// multi-threading; Table 1 runs it on one thread for the same reason).
 
 #include <cstddef>
 #include <memory>
@@ -24,11 +21,8 @@ class DDSimulator {
 
   [[nodiscard]] Qubit numQubits() const noexcept { return pkg_->numQubits(); }
 
-  /// Workers for the parallel DD mat-vec recursion (1 = sequential DDSIM
-  /// baseline). Forwards to Package::setDdThreads; takes effect at the next
-  /// applyOperation.
-  void setThreads(unsigned threads) noexcept { pkg_->setDdThreads(threads); }
-  [[nodiscard]] unsigned threads() const noexcept { return pkg_->ddThreads(); }
+  /// No effect. Only perfbench calls it; drop at the next benchmark revision.
+  void setThreads(unsigned /*threads*/) noexcept {}
 
   /// Resets to |0...0>.
   void reset();

@@ -38,10 +38,11 @@ enum class KernelClass : std::uint8_t {
 [[nodiscard]] fp calibratedLanes(KernelClass cls) noexcept;
 
 /// Array-phase speedup of the active tier relative to the AVX2 reference
-/// tier on MAC-class kernels, sqrt-damped (same conservatism as
-/// ddPhaseSpeedup): the EWMA conversion trigger scales its epsilon by
-/// 1/this, so a faster array phase moves the DD-to-array switch earlier and
-/// a scalar-only host moves it later. Exactly 1.0 on the AVX2 tier, so
+/// tier on MAC-class kernels, sqrt-damped to stay conservative: an
+/// over-estimated speedup would move conversion too early. The EWMA
+/// conversion trigger scales its epsilon by 1/this, so a faster array phase
+/// moves the DD-to-array switch earlier and a scalar-only host moves it
+/// later. Exactly 1.0 on the AVX2 tier, so
 /// calibrated hosts match the pre-calibration trigger behavior bit-for-bit.
 [[nodiscard]] fp arrayPhaseSpeedup() noexcept;
 

@@ -268,7 +268,9 @@ void denseColumns(Complex* const* out, const Complex* const* in,
 }
 
 void zeroFill(Complex* out, std::size_t n) noexcept {
-  std::memset(static_cast<void*>(out), 0, n * sizeof(Complex));
+  if (n != 0) {  // an empty buffer's data() may be null, which memset forbids
+    std::memset(static_cast<void*>(out), 0, n * sizeof(Complex));
+  }
 }
 
 }  // namespace fdd::simd

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "dd/package.hpp"
 #include "flatdd/cost_model.hpp"
@@ -149,25 +148,6 @@ TEST(Cost, CostWithCacheAccountsBuffersAndHits) {
   const fp expected =
       256.0 / t + 256.0 / (d * t) * (0.0 / t + 1.0);
   EXPECT_NEAR(c2, expected, 1e-9);
-}
-
-TEST(Cost, DdPhaseSpeedupIsSqrtUpToTheCoreCap) {
-  EXPECT_DOUBLE_EQ(ddPhaseSpeedup(1, 8), 1.0);
-  EXPECT_DOUBLE_EQ(ddPhaseSpeedup(4, 8), 2.0);
-  EXPECT_DOUBLE_EQ(ddPhaseSpeedup(16, 8), std::sqrt(8.0));
-  // Oversubscription past the cap must not inflate the model: an assumed
-  // speedup that never materializes delays conversion past the DD blow-up.
-  EXPECT_DOUBLE_EQ(ddPhaseSpeedup(8, 1), 1.0);
-  EXPECT_DOUBLE_EQ(ddPhaseSpeedup(8, 2), std::sqrt(2.0));
-}
-
-TEST(Cost, DdPhaseSpeedupHonorsAssumedCoreEnv) {
-  setenv("FLATDD_DD_ASSUME_CORES", "4", 1);
-  EXPECT_DOUBLE_EQ(ddPhaseSpeedup(16), 2.0);
-  setenv("FLATDD_DD_ASSUME_CORES", "garbage", 1);
-  const fp detected = ddPhaseSpeedup(16);  // falls back to detected cores
-  unsetenv("FLATDD_DD_ASSUME_CORES");
-  EXPECT_DOUBLE_EQ(detected, ddPhaseSpeedup(16));
 }
 
 }  // namespace

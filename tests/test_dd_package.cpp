@@ -1,11 +1,18 @@
 // DD package core: node construction and normalization invariants, canonicity
 // (structural sharing), basis states, amplitude queries, ref counting and
-// garbage collection.
+// garbage collection, and the compute table's key matching.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "circuits/generators.hpp"
+#include "common/prng.hpp"
+#include "dd/compute_table.hpp"
 #include "dd/package.hpp"
 #include "helpers.hpp"
+#include "sim/dd_simulator.hpp"
 
 namespace fdd::dd {
 namespace {
@@ -178,6 +185,111 @@ TEST(Package, IdentityNodeCountIsLinear) {
   Package p{10};
   const mEdge id = p.makeIdent(9);
   EXPECT_EQ(p.nodeCount(id), 10u);
+}
+
+TEST(Package, RebuiltBasisStatesReuseCanonicalNodes) {
+  constexpr Qubit kQubits = 10;
+  constexpr Index kDim = Index{1} << kQubits;
+  Package p{kQubits};
+  std::vector<vEdge> first;
+  first.reserve(kDim);
+  for (Index i = 0; i < kDim; ++i) {
+    first.push_back(p.makeBasisState(i));
+  }
+  // Rebuilding in a different order must find the same nodes.
+  for (Index i = 0; i < kDim; ++i) {
+    const Index state = (i * 37 + 11) % kDim;
+    ASSERT_EQ(p.makeBasisState(state).n, first[state].n)
+        << "basis state " << state;
+  }
+  EXPECT_TRUE(p.checkCanonical());
+}
+
+TEST(Package, RepeatedAddsProduceCanonicalNodes) {
+  constexpr Qubit kQubits = 8;
+  Package p{kQubits};
+  // Two identical sums of random basis states: the second run hits the
+  // compute table where the first filled it, and must land on the same node
+  // with the bit-identical weight.
+  const auto sumOf = [&](std::uint64_t seed) {
+    Xoshiro256 rng{seed};
+    vEdge acc = p.makeBasisState(0);
+    for (int step = 0; step < 64; ++step) {
+      const auto bits = static_cast<Index>(rng() & 0xffu);
+      acc = p.add(acc, p.makeBasisState(bits), kQubits - 1);
+    }
+    return acc;
+  };
+  const vEdge a = sumOf(1234);
+  const vEdge b = sumOf(1234);
+  EXPECT_TRUE(p.checkCanonical());
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.w, b.w);
+}
+
+TEST(Package, SimulationKeepsStateCanonicalAndNormalized) {
+  const qc::Circuit circuit = circuits::randomUniversal(11, 200, 29);
+  sim::DDSimulator sim{circuit.numQubits()};
+  sim.simulate(circuit);
+  EXPECT_TRUE(sim.package().checkCanonical());
+  const Complex norm = sim.package().innerProduct(sim.state(), sim.state());
+  EXPECT_NEAR(norm.real(), 1.0, 1e-9);
+  EXPECT_NEAR(norm.imag(), 0.0, 1e-9);
+}
+
+TEST(Package, RefcountsBalanceAndTerminalsStaySaturated) {
+  Package p{6};
+  const vEdge e = p.makeBasisState(13);
+  p.incRef(e);
+  const std::uint32_t before = e.n->ref;
+  for (int i = 0; i < 1000; ++i) {
+    p.incRef(e);
+  }
+  EXPECT_EQ(e.n->ref, before + 1000);
+  for (int i = 0; i < 1000; ++i) {
+    p.decRef(e);
+  }
+  EXPECT_EQ(e.n->ref, before);
+  // Terminals are shared by every package: their count is saturated and
+  // never written.
+  const vEdge terminal{vNode::terminal(), Complex{1.0}};
+  p.incRef(terminal);
+  p.decRef(terminal);
+  p.decRef(terminal);
+  EXPECT_EQ(vNode::terminal()->ref, kRefSaturated);
+}
+
+TEST(ComputeTable, LookupNeverReturnsAnotherKeysResult) {
+  // A 256-slot table holding 4096 keys: most inserts evict a colliding key.
+  // Keys and results encode the same integer, so a lookup that served
+  // another key's slot shows up as a mismatch.
+  using Key = MulKey<mNode, vNode>;
+  ComputeTable<Key, vEdge, 8> table;
+  const auto keyOf = [](std::uintptr_t id) {
+    return Key{reinterpret_cast<const mNode*>(id << 4),
+               reinterpret_cast<const vNode*>(id << 8)};
+  };
+  Xoshiro256 rng{977};
+  std::size_t served = 0;
+  for (int iter = 0; iter < 200'000; ++iter) {
+    const std::uintptr_t id = (rng() % 4096) + 1;
+    if ((iter & 3) == 0) {
+      table.insert(keyOf(id), vEdge{reinterpret_cast<vNode*>(id << 12),
+                                    Complex(static_cast<fp>(id), -1.0)});
+      continue;
+    }
+    if (vEdge out; table.lookup(keyOf(id), out)) {
+      ASSERT_EQ(reinterpret_cast<std::uintptr_t>(out.n), id << 12);
+      ASSERT_EQ(out.w, Complex(static_cast<fp>(id), -1.0));
+      ++served;
+    }
+  }
+  EXPECT_GT(served, 1'000u);
+  EXPECT_EQ(table.hits(), served);
+  EXPECT_EQ(table.hits() + table.misses(), 150'000u);
+  table.flush();
+  vEdge out;
+  EXPECT_FALSE(table.lookup(keyOf(1), out));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "circuits/supremacy.hpp"
 #include "flatdd/flatdd_simulator.hpp"
 #include "helpers.hpp"
+#include "parallel/thread_pool.hpp"
 #include "qc/optimizer.hpp"
 #include "sim/array_simulator.hpp"
 #include "sim/dd_simulator.hpp"
@@ -71,6 +72,44 @@ TEST_P(FamilyGrid, AllEnginesAndOptimizerAgree) {
 INSTANTIATE_TEST_SUITE_P(Grid, FamilyGrid,
                          ::testing::Combine(::testing::Range(0, kFamilies),
                                             ::testing::Range(0, 3)));
+
+// The conversion decision must not depend on the thread count: the DD phase
+// is sequential, so a run at any thread count converts at the same gate with
+// the same peak DD as the 1-thread run. Circuits are the CLI's defaults
+// (depth 8, seed 7) plus supremacy(12, 10, 23), a known regression case for
+// a thread-dependent conversion point.
+TEST(ConversionCliff, ConversionPointIsIndependentOfThreadCount) {
+  par::resizePool(8);
+  std::vector<qc::Circuit> roster;
+  for (const Qubit n : {12, 13, 14}) {
+    roster.push_back(circuits::vqe(n, 8, 7));
+    roster.push_back(circuits::supremacy(n, 8, 7));
+    roster.push_back(circuits::randomUniversal(n, 160, 7));
+    roster.push_back(circuits::qpe(n - 1, 7.0 / 128.0));
+    roster.push_back(circuits::qaoa(n, 8, 7));
+  }
+  roster.push_back(circuits::supremacy(12, 10, 23));
+
+  const auto run = [](const qc::Circuit& circuit, unsigned threads) {
+    flat::FlatDDOptions opt;
+    opt.threads = threads;
+    flat::FlatDDSimulator sim{circuit.numQubits(), opt};
+    sim.simulate(circuit);
+    return sim.stats();
+  };
+  for (const qc::Circuit& circuit : roster) {
+    const flat::FlatDDStats base = run(circuit, 1);
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      const flat::FlatDDStats st = run(circuit, threads);
+      EXPECT_EQ(st.converted, base.converted)
+          << circuit.name() << " at " << threads << " threads";
+      EXPECT_EQ(st.conversionGateIndex, base.conversionGateIndex)
+          << circuit.name() << " at " << threads << " threads";
+      EXPECT_EQ(st.peakDDSize, base.peakDDSize)
+          << circuit.name() << " at " << threads << " threads";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace fdd

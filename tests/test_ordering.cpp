@@ -145,10 +145,9 @@ TEST(SwapAdjacent, MatchesBitSwappedAmplitudes) {
   }
 }
 
-TEST(SwapAdjacent, IsAnInvolutionUnderParallelDDThreads) {
+TEST(SwapAdjacent, IsAnInvolution) {
   const Qubit n = 6;
   sim::DDSimulator sim{n};
-  sim.setThreads(8);  // swaps at a quiescent point over the concurrent tables
   sim.simulate(test::randomCircuit(n, 60, 23));
   auto& pkg = sim.package();
   const auto reference = pkg.toArray(sim.state());

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -390,6 +391,33 @@ TEST(SvcSession, IncrementalApplyMatchesOneShot) {
   EXPECT_EQ(incremental.sample(64), oneShot.sample(64));
 }
 
+TEST(SvcSession, PhaseTimersAccumulateAcrossApplies) {
+  // Each apply() runs as several 64-gate engine slices; every slice must add
+  // to the phase timers rather than overwrite them.
+  constexpr Qubit kQubits = 10;
+  const qc::Circuit circuit = circuits::randomUniversal(kQubits, 600, 41);
+  Session s{1, makeConfig(kQubits, 3), nullptr};
+  const auto& ops = circuit.operations();
+  engine::RunReport prev = s.report();
+  for (std::size_t begin = 0; begin < ops.size(); begin += 100) {
+    qc::Circuit chunk{kQubits, "chunk"};
+    for (std::size_t i = begin; i < std::min(begin + 100, ops.size()); ++i) {
+      chunk.append(ops[i]);
+    }
+    s.apply(chunk);
+    const engine::RunReport now = s.report();
+    EXPECT_GE(now.ddPhaseSeconds, prev.ddPhaseSeconds) << "after " << begin;
+    EXPECT_GE(now.fusionSeconds, prev.fusionSeconds) << "after " << begin;
+    EXPECT_GE(now.dmavPhaseSeconds, prev.dmavPhaseSeconds)
+        << "after " << begin;
+    prev = now;
+  }
+  ASSERT_TRUE(prev.converted);
+  ASSERT_GT(prev.planCompiles, 0u);
+  // Plans compile inside the DMAV loop, so its timer covers them.
+  EXPECT_GE(prev.dmavPhaseSeconds, prev.planCompileSeconds);
+}
+
 TEST(SvcSession, ApplyChecksQubitCount) {
   Session s{1, makeConfig(4, 0), nullptr};
   EXPECT_THROW(s.apply(qc::Circuit{5, "wrong"}), std::invalid_argument);
@@ -547,19 +575,6 @@ TEST(SvcSessionManager, OpenFindClose) {
   EXPECT_FALSE(manager.close(s1->id()));
   EXPECT_EQ(manager.find(s1->id()), nullptr);
   EXPECT_EQ(manager.sessionCount(), 1u);
-}
-
-TEST(SvcSessionManager, OpenClampsDdThreadsToPoolBudget) {
-  SessionManager manager{withWorkers(2)};
-  SessionConfig cfg = makeConfig(4, 7);
-  cfg.engine.ddThreads = 100'000;  // far beyond any real pool
-  const auto session = manager.open(std::move(cfg));
-  const unsigned poolSize = par::globalPool().size();
-  EXPECT_EQ(session->config().engine.ddThreads, poolSize);
-  // A request within budget passes through untouched.
-  SessionConfig modest = makeConfig(4, 8);
-  modest.engine.ddThreads = 2;
-  EXPECT_EQ(manager.open(std::move(modest))->config().engine.ddThreads, 2u);
 }
 
 TEST(SvcSessionManager, ConcurrentSessionsMatchSequentialReplay) {
@@ -1164,7 +1179,8 @@ TEST(SvcWatchdog, FlagsLongRunningJobOnce) {
   ASSERT_TRUE(in.is_open());
   std::string line;
   ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
-  const json::Object& obj = asObject(json::parse(line));
+  const json::Value record = json::parse(line);
+  const json::Object& obj = asObject(record);
   EXPECT_EQ(*obj.find("event")->second.string(), "stall");
   EXPECT_EQ(*obj.find("request_id")->second.string(), "555");
   EXPECT_EQ(*obj.find("op")->second.string(), "blocker");
