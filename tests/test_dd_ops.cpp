@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "dd/package.hpp"
 #include "helpers.hpp"
 
@@ -39,6 +41,11 @@ struct GateCase {
   Qubit n;
   const char* label;
 };
+
+// Print a case as its label. Without a printer gtest dumps the raw bytes,
+// padding and heap pointers included, so the value shown next to each case
+// (and the CTest names derived from it) would change from run to run.
+void PrintTo(const GateCase& c, std::ostream* os) { *os << c.label; }
 
 class GateDDs : public ::testing::TestWithParam<GateCase> {};
 
