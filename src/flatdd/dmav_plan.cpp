@@ -36,48 +36,227 @@ namespace {
 /// the span length when modeling a block's replay time.
 constexpr double kOpOverheadCost = 8.0;
 
-/// Flattens the runTask recursion (Alg. 1 lines 16-22) under edge `e` at
-/// `level` into span ops. `f` is the accumulated weight product excluding
-/// e.w, matching the DmavTask convention.
-void flattenTask(const dd::mEdge& e, Qubit level, Index iv, Index iw,
-                 Complex f, bool identFast, std::vector<SpanOp>& out) {
-  if (e.isZero()) {
-    return;
-  }
-  const Complex fw = f * e.w;
-  if (e.isTerminal()) {
-    out.push_back(SpanOp{.iv = iv, .iw = iw, .len = 1, .f = fw,
-                         .kind = SpanOpKind::MacSpan});
-    return;
-  }
-  if (e.n->ident && identFast) {
-    out.push_back(SpanOp{.iv = iv, .iw = iw, .len = Index{1} << (level + 1),
-                         .f = fw, .kind = SpanOpKind::IdentScale});
-    return;
-  }
-  const Index step = Index{1} << level;
-  flattenTask(e.n->e[0], level - 1, iv, iw, fw, identFast, out);
-  flattenTask(e.n->e[1], level - 1, iv + step, iw, fw, identFast, out);
-  flattenTask(e.n->e[2], level - 1, iv, iw + step, fw, identFast, out);
-  flattenTask(e.n->e[3], level - 1, iv + step, iw + step, fw, identFast, out);
+/// Above this many pairs of combs, Lowering::rangesOverlap reports a
+/// possible overlap (the block then keeps accumulating ops) instead of
+/// checking every pair.
+constexpr std::size_t kMaxCombCheckPairs = std::size_t{1} << 16;
+
+/// True when the matrix is the identity on node `n`'s qubit: no off-diagonal
+/// blocks, and equal diagonal blocks (node and weight).
+bool isPassive(const dd::mNode* n) noexcept {
+  return n->e[1].isZero() && n->e[2].isZero() && n->e[0] == n->e[3] &&
+         !n->e[0].isZero();
 }
 
+bool isSingleAccum(SpanOpKind k) noexcept {
+  return k == SpanOpKind::MacSpan || k == SpanOpKind::IdentScale;
+}
+
+/// Same comb shape: equal repetition count and stride.
+bool sameComb(const SpanOp& a, const SpanOp& b) noexcept {
+  return a.count == b.count && a.stride == b.stride;
+}
+
+std::int64_t floorDiv(std::int64_t x, std::int64_t s) noexcept {
+  return x >= 0 ? x / s : -((-x + s - 1) / s);
+}
+
+/// True when the output spans of `a` and `b` (every comb repetition
+/// included) may share an amplitude. Exact unless both are combs of
+/// different strides, which are reported as overlapping.
+bool combsOverlap(const SpanOp& a, const SpanOp& b) {
+  if (a.extent() <= b.iw || b.extent() <= a.iw) {
+    return false;
+  }
+  if ((a.count == 1 && b.count == 1) ||
+      (a.count > 1 && b.count > 1 && a.stride != b.stride)) {
+    return true;
+  }
+  // One common stride s: repetitions k of a and j of b meet iff
+  // -len_b < d + (j - k) s < len_a with d = b.iw - a.iw, and j - k ranges
+  // over [-(a.count - 1), b.count - 1].
+  const auto s = static_cast<std::int64_t>(a.count > 1 ? a.stride : b.stride);
+  const auto d = static_cast<std::int64_t>(b.iw) -
+                 static_cast<std::int64_t>(a.iw);
+  const auto la = static_cast<std::int64_t>(a.len);
+  const auto lb = static_cast<std::int64_t>(b.len);
+  const std::int64_t lo = std::max(floorDiv(-lb - d, s) + 1,
+                                   1 - static_cast<std::int64_t>(a.count));
+  const std::int64_t hi = std::min(-floorDiv(d - la, s) - 1,
+                                   static_cast<std::int64_t>(b.count) - 1);
+  return lo <= hi;
+}
+
+/// What a lowered sub-DD writes: output amplitudes summed over every op and
+/// comb repetition, and whether no amplitude is written twice.
+struct Footprint {
+  Index written = 0;
+  bool disjoint = true;
+};
+
+/// Lowers a gate DD into span ops for output rows [rowLo, rowHi): the
+/// runTask recursion (Alg. 1 lines 16-22) flattened at compile time, with
+/// absolute offsets. Passive levels are not walked path by path (lowerBand).
+struct Lowering {
+  bool identFast;
+  Index rowLo;
+  Index rowHi;
+  std::vector<SpanOp>& ops;
+
+  /// Lowers edge `e` whose node sits at `level`; `f` is the weight product
+  /// above the edge (excluding e.w), the DmavTask convention.
+  Footprint lower(const dd::mEdge& e, Qubit level, Index iv, Index iw,
+                  Complex f) {
+    if (e.isZero()) {
+      return {};
+    }
+    const Complex fw = f * e.w;
+    if (e.isTerminal()) {
+      if (iw < rowLo || iw >= rowHi) {
+        return {};
+      }
+      ops.push_back(SpanOp{.iv = iv, .iw = iw, .len = 1, .f = fw,
+                           .kind = SpanOpKind::MacSpan});
+      return {1, true};
+    }
+    const Index size = Index{1} << (level + 1);
+    const bool inside = rowLo <= iw && iw + size <= rowHi;
+    if (inside && e.n->ident && identFast) {
+      ops.push_back(SpanOp{.iv = iv, .iw = iw, .len = size, .f = fw,
+                           .kind = SpanOpKind::IdentScale});
+      return {size, true};
+    }
+    if (inside && isPassive(e.n)) {
+      return lowerBand(e.n, level, iv, iw, fw);
+    }
+    // Active node, or one straddling the row window: recurse per child,
+    // skipping output halves outside the window. The two children of one
+    // output half write the same rows, so they are checked for overlap.
+    const Index step = size / 2;
+    Footprint total;
+    for (unsigned i = 0; i < 2; ++i) {
+      const Index rows = iw + i * step;
+      if (rows >= rowHi || rows + step <= rowLo) {
+        continue;
+      }
+      const Index windowRows =
+          std::min(rows + step, rowHi) - std::max(rows, rowLo);
+      const std::size_t first = ops.size();
+      const Footprint a = lower(e.n->e[2 * i], level - 1, iv, rows, fw);
+      const std::size_t mid = ops.size();
+      const Footprint b = lower(e.n->e[2 * i + 1], level - 1, iv + step, rows,
+                                fw);
+      total.written += a.written + b.written;
+      total.disjoint = total.disjoint && a.disjoint && b.disjoint &&
+                       (a.written == 0 || b.written == 0 ||
+                        (a.written + b.written <= windowRows &&
+                         !rangesOverlap(first, mid)));
+    }
+    return total;
+  }
+
+  /// Lowers the passive node `n` at `level` together with every passive
+  /// level below it: the first non-passive edge is lowered once, then its
+  /// ops are repeated over the band's 2^L blocks.
+  Footprint lowerBand(const dd::mNode* n, Qubit level, Index iv, Index iw,
+                      Complex fw) {
+    dd::mEdge child = n->e[0];
+    Complex f = fw;
+    Qubit bandLevels = 1;
+    while (!child.isTerminal() && isPassive(child.n) &&
+           !(child.n->ident && identFast)) {
+      f = f * child.w;
+      child = child.n->e[0];
+      ++bandLevels;
+    }
+    const Qubit childLevel = level - bandLevels;
+    const std::size_t first = ops.size();
+    const Footprint inner = lower(child, childLevel, iv, iw, f);
+    const Index reps = Index{1} << bandLevels;
+    repeat(first, Index{1} << (childLevel + 1), reps);
+    return {inner.written * reps, inner.disjoint};
+  }
+
+  /// Repeats ops[first..] `reps` times at a pitch of `block` amplitudes (the
+  /// lowered child's block). A span filling the block grows, a plain span
+  /// becomes a comb, and a comb that tiles the block extends its count. An
+  /// op has one stride, so a comb that does not tile its block (a passive
+  /// run above a gap between active qubits) is copied once per repetition;
+  /// the copy keeps the comb's short stride, which replays with far better
+  /// locality than combing the copies along the long one.
+  void repeat(std::size_t first, Index block, Index reps) {
+    std::vector<SpanOp> nested;
+    for (std::size_t k = first; k < ops.size(); ++k) {
+      SpanOp& op = ops[k];
+      if (op.count == 1 && op.len == block) {
+        op.len *= reps;
+      } else if (op.count == 1) {
+        op.count = reps;
+        op.stride = block;
+      } else if (op.count * op.stride == block) {
+        op.count *= reps;
+      } else {
+        nested.push_back(op);
+      }
+    }
+    // Whole rounds of copies keep ops emitted next to each other (the two
+    // terms of one output row) adjacent for fuseMac2.
+    ops.reserve(ops.size() + nested.size() * (reps - 1));
+    for (Index r = 1; r < reps && !nested.empty(); ++r) {
+      for (SpanOp copy : nested) {
+        copy.iv += r * block;
+        copy.iw += r * block;
+        ops.push_back(copy);
+      }
+    }
+  }
+
+  /// True when an op in [first, mid) may write an amplitude that an op in
+  /// [mid, end) writes. Each range is internally disjoint already.
+  [[nodiscard]] bool rangesOverlap(std::size_t first, std::size_t mid) const {
+    const auto plain = [](const SpanOp& op) { return op.count == 1; };
+    if (std::all_of(ops.begin() + static_cast<std::ptrdiff_t>(first),
+                    ops.end(), plain)) {
+      std::vector<std::pair<Index, Index>> spans;
+      spans.reserve(ops.size() - first);
+      for (std::size_t k = first; k < ops.size(); ++k) {
+        spans.emplace_back(ops[k].iw, ops[k].iw + ops[k].len);
+      }
+      std::sort(spans.begin(), spans.end());
+      for (std::size_t k = 1; k < spans.size(); ++k) {
+        if (spans[k].first < spans[k - 1].second) {
+          return true;
+        }
+      }
+      return false;
+    }
+    if ((mid - first) * (ops.size() - mid) > kMaxCombCheckPairs) {
+      return true;
+    }
+    for (std::size_t a = first; a < mid; ++a) {
+      for (std::size_t b = mid; b < ops.size(); ++b) {
+        if (combsOverlap(ops[a], ops[b])) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+};
+
 /// Merges runs of ops that continue each other (same input/output stride,
-/// same coefficient). Scalar MACs along a constant diagonal collapse into
-/// one SIMD span; with the ident fast path disabled this rebuilds the
-/// identity spans the flattener skipped.
+/// same coefficient, same comb shape): e.g. an identity span followed by
+/// the equal-weight diagonal entry below it.
 void mergeAdjacent(std::vector<SpanOp>& ops) {
-  const auto singleAccum = [](SpanOpKind k) {
-    return k == SpanOpKind::MacSpan || k == SpanOpKind::IdentScale;
-  };
   std::size_t w = 0;
   for (std::size_t r = 0; r < ops.size(); ++r) {
     if (w > 0) {
       SpanOp& prev = ops[w - 1];
       const SpanOp& cur = ops[r];
-      if (singleAccum(prev.kind) && singleAccum(cur.kind) &&
-          prev.iw + prev.len == cur.iw && prev.iv + prev.len == cur.iv &&
-          prev.f == cur.f) {
+      if (isSingleAccum(prev.kind) && isSingleAccum(cur.kind) &&
+          sameComb(prev, cur) && prev.iw + prev.len == cur.iw &&
+          prev.iv + prev.len == cur.iv && prev.f == cur.f &&
+          (prev.count == 1 || prev.len + cur.len <= prev.stride)) {
         prev.len += cur.len;
         if (prev.kind != cur.kind) {
           prev.kind = SpanOpKind::MacSpan;
@@ -93,19 +272,15 @@ void mergeAdjacent(std::vector<SpanOp>& ops) {
 /// Fuses adjacent single-input accumulates into the same output span — the
 /// two nonzero entries of a dense 2x2 row — into one Mac2Span, halving the
 /// reads and writes of w. Runs after promoteExclusive (a promoted block has
-/// no accumulates left) and before collapseStrided (so low-qubit combs of
-/// fused ops still collapse).
+/// no accumulates left).
 void fuseMac2(std::vector<SpanOp>& ops) {
-  const auto fusable = [](SpanOpKind k) {
-    return k == SpanOpKind::MacSpan || k == SpanOpKind::IdentScale;
-  };
   std::size_t w = 0;
   for (std::size_t r = 0; r < ops.size(); ++r) {
     if (w > 0) {
       SpanOp& prev = ops[w - 1];
       const SpanOp& cur = ops[r];
-      if (fusable(prev.kind) && fusable(cur.kind) && prev.iw == cur.iw &&
-          prev.len == cur.len) {
+      if (isSingleAccum(prev.kind) && isSingleAccum(cur.kind) &&
+          sameComb(prev, cur) && prev.iw == cur.iw && prev.len == cur.len) {
         prev.kind = SpanOpKind::Mac2Span;
         prev.iv2 = cur.iv;
         prev.f2 = cur.f;
@@ -117,131 +292,36 @@ void fuseMac2(std::vector<SpanOp>& ops) {
   ops.resize(w);
 }
 
-/// Minimum run length worth collapsing into a strided comb op.
-constexpr std::size_t kMinStridedRun = 4;
-
-bool sameShape(const SpanOp& a, const SpanOp& b) noexcept {
-  return a.kind == b.kind && a.len == b.len && a.count == 1 && b.count == 1 &&
-         a.f == b.f && a.f2 == b.f2;
-}
-
-/// Length of the arithmetic run ops[i], ops[i+p], ops[i+2p], ... sharing
-/// shape and advancing every offset (iw, iv, and iv2 for Mac2Span) by the
-/// same constant positive delta. Writes that delta to `strideOut`.
-std::size_t stridedRunLength(const std::vector<SpanOp>& ops, std::size_t i,
-                             std::size_t p, Index& strideOut) {
-  if (i + p >= ops.size()) {
-    return 1;
-  }
-  const SpanOp& a = ops[i];
-  const SpanOp& b = ops[i + p];
-  if (!sameShape(a, b) || b.iw <= a.iw) {
-    return 1;
-  }
-  const Index d = b.iw - a.iw;
-  if (d < a.len) {
-    return 1;  // repetitions would overlap
-  }
-  const auto follows = [&](const SpanOp& prev, const SpanOp& cur) {
-    return sameShape(prev, cur) && cur.iw == prev.iw + d &&
-           cur.iv == prev.iv + d &&
-           (prev.kind != SpanOpKind::Mac2Span || cur.iv2 == prev.iv2 + d);
-  };
-  std::size_t runLen = 1;
-  for (std::size_t j = i; j + p < ops.size() && follows(ops[j], ops[j + p]);
-       j += p) {
-    ++runLen;
-  }
-  strideOut = d;
-  return runLen;
-}
-
-SpanOp makeStrided(const SpanOp& first, std::size_t count, Index stride) {
-  SpanOp op = first;
-  op.count = static_cast<Index>(count);
-  op.stride = stride;
-  return op;
-}
-
-/// Collapses arithmetic runs of identically-shaped ops into strided comb
-/// ops. Low-qubit gates emit one op per 2^q-element sub-span — O(2^n) ops —
-/// with offsets advancing by a constant 2^(q+1); after this pass they are
-/// O(1) comb ops per block. Runs are detected at period 1 (back-to-back)
-/// and period 2 (two interleaved combs, the shape alternating-coefficient
-/// diagonals and X-style swaps produce). Interleaved runs re-order ops,
-/// which is safe: exclusive writes are disjoint and accumulates commute.
-void collapseStrided(std::vector<SpanOp>& ops) {
-  if (ops.size() < kMinStridedRun) {
-    return;
-  }
-  std::vector<SpanOp> out;
-  out.reserve(ops.size());
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    Index d1 = 0;
-    const std::size_t r1 = stridedRunLength(ops, i, 1, d1);
-    if (r1 >= kMinStridedRun) {
-      out.push_back(makeStrided(ops[i], r1, d1));
-      i += r1;
-      continue;
-    }
-    if (i + 1 < ops.size()) {
-      Index dA = 0;
-      Index dB = 0;
-      const std::size_t rA = stridedRunLength(ops, i, 2, dA);
-      const std::size_t rB = stridedRunLength(ops, i + 1, 2, dB);
-      const std::size_t c = std::min(rA, rB);
-      if (c >= kMinStridedRun && dA == dB) {
-        out.push_back(makeStrided(ops[i], c, dA));
-        out.push_back(makeStrided(ops[i + 1], c, dB));
-        i += 2 * c;
-        continue;
-      }
-    }
-    out.push_back(ops[i]);
-    ++i;
-  }
-  ops = std::move(out);
-}
-
-/// If the ops' output spans are pairwise disjoint, promotes them to
-/// exclusive-write kinds and returns the uncovered gaps of [rowBegin,
-/// rowBegin + rows) as the only spans that still need zero-filling.
-/// Otherwise leaves the accumulate kinds in place and zero-fills the whole
-/// range. Returns true on promotion.
-bool promoteExclusive(std::vector<SpanOp>& ops, Index rowBegin, Index rows,
-                      std::vector<ZeroSpan>& zeroSpans) {
-  std::vector<std::pair<Index, Index>> covered;  // (begin, end) of outputs
-  covered.reserve(ops.size());
-  for (const SpanOp& op : ops) {
-    covered.emplace_back(op.iw, op.iw + op.len);
-  }
-  std::sort(covered.begin(), covered.end());
-  bool disjoint = true;
-  for (std::size_t i = 1; i < covered.size(); ++i) {
-    if (covered[i].first < covered[i - 1].second) {
-      disjoint = false;
-      break;
-    }
-  }
-  if (!disjoint) {
+/// Promotes a lowered block of `rows` rows at `rowBegin` to exclusive-write
+/// kinds when its footprint writes every amplitude at most once. Replay then
+/// zero-fills nothing if the footprint covers the block, and otherwise (a
+/// block missing rows, as cached-mode column blocks can) the whole block:
+/// one zero span per gap of every comb repetition would be O(2^n) again,
+/// and an exclusive write overwrites a cleared row anyway.
+void promoteExclusive(std::vector<SpanOp>& ops, Footprint fp, Index rowBegin,
+                      Index rows, std::vector<ZeroSpan>& zeroSpans) {
+  if (!fp.disjoint || fp.written != rows) {
     zeroSpans.push_back(ZeroSpan{rowBegin, rows});
-    return false;
   }
-  for (SpanOp& op : ops) {
-    op.kind = op.iv == op.iw ? SpanOpKind::DiagScale : SpanOpKind::PermuteCopy;
-  }
-  Index cursor = rowBegin;
-  for (const auto& [begin, end] : covered) {
-    if (begin > cursor) {
-      zeroSpans.push_back(ZeroSpan{cursor, begin - cursor});
+  if (fp.disjoint) {
+    for (SpanOp& op : ops) {
+      op.kind =
+          op.iv == op.iw ? SpanOpKind::DiagScale : SpanOpKind::PermuteCopy;
     }
-    cursor = end;
   }
-  if (cursor < rowBegin + rows) {
-    zeroSpans.push_back(ZeroSpan{cursor, rowBegin + rows - cursor});
-  }
-  return true;
+}
+
+/// Lowers edge `m` (node at `level`, at input/output offsets iv/iw, weight
+/// product `f` above it) for output rows [rowBegin, rowBegin + rows), then
+/// runs the peephole passes over the block.
+void lowerBlock(const dd::mEdge& m, Qubit level, Index iv, Index iw, Complex f,
+                Index rowBegin, Index rows, bool identFast,
+                std::vector<SpanOp>& ops, std::vector<ZeroSpan>& zeroSpans) {
+  Lowering lowering{identFast, rowBegin, rowBegin + rows, ops};
+  const Footprint fp = lowering.lower(m, level, iv, iw, f);
+  mergeAdjacent(ops);
+  promoteExclusive(ops, fp, rowBegin, rows, zeroSpans);
+  fuseMac2(ops);
 }
 
 double modelCost(const std::vector<SpanOp>& ops,
@@ -263,69 +343,45 @@ double modelCost(const std::vector<SpanOp>& ops,
   return cost;
 }
 
-void compileRow(const dd::mEdge& m, DmavPlan& plan) {
-  const Qubit n = plan.nQubits;
-  const unsigned t = plan.threads;
-  // Balancing granularity: split each thread's row block into up to
-  // kPlanSplitFactor sub-blocks, as long as sub-blocks keep at least
-  // kMinPlanBlockRows rows (and at most 2^n blocks exist overall).
+/// Balancing granularity: each thread's row block splits into up to
+/// kPlanSplitFactor sub-blocks, as long as sub-blocks keep at least
+/// kMinPlanBlockRows rows (and at most 2^n blocks exist overall).
+unsigned rowBlockCount(unsigned t, Index dim) {
   unsigned split = 1;
-  if (t > 1) {
-    while (split < kPlanSplitFactor &&
-           Index{t} * split * 2 <= plan.dim &&
-           plan.dim / (Index{t} * split * 2) >= kMinPlanBlockRows) {
-      split *= 2;
-    }
+  while (t > 1 && split < kPlanSplitFactor && Index{t} * split * 2 <= dim &&
+         dim / (Index{t} * split * 2) >= kMinPlanBlockRows) {
+    split *= 2;
   }
-  const unsigned nBlocks = t * split;
+  return t * split;
+}
+
+/// A plan with its identity fields set and no ops yet.
+DmavPlan emptyPlan(const dd::mEdge& root, Qubit nQubits, unsigned threads,
+                   PlanMode mode, const dd::Package* pkg) {
+  DmavPlan plan;
+  plan.root = root.n;
+  plan.rootWeight = root.w;
+  plan.nQubits = nQubits;
+  plan.dim = Index{1} << nQubits;
+  plan.threads = clampDmavThreads(nQubits, plan.dim == 1 ? 1 : threads);
+  plan.mode = mode;
+  plan.identFast = identFastPathEnabled();
+  plan.generation = pkg != nullptr ? pkg->mNodeGeneration() : 0;
+  plan.orderingEpoch = pkg != nullptr ? pkg->orderingEpoch() : 0;
+  return plan;
+}
+
+void compileRow(const dd::mEdge& m, DmavPlan& plan) {
+  const unsigned t = plan.threads;
+  const unsigned nBlocks = rowBlockCount(t, plan.dim);
   const Index rows = plan.dim / nBlocks;
-  const Qubit border = static_cast<Qubit>(n - ilog2(nBlocks) - 1);
-
-  // Reuse Assign (Alg. 1) with nBlocks virtual threads to partition the
-  // matrix down to the sub-block border level.
-  std::vector<std::vector<DmavTask>> perBlock(nBlocks);
-  // assignRowSpace would re-clamp; replicate its recursion via a local
-  // traversal identical to assignRec's contract.
-  struct Rec {
-    unsigned nBlocks;
-    Qubit n;
-    Qubit border;
-    std::vector<std::vector<DmavTask>>* out;
-    void operator()(const dd::mEdge& mr, Complex f, unsigned u, Index iv,
-                    Qubit l) const {
-      if (mr.isZero()) {
-        return;
-      }
-      if (l == border) {
-        (*out)[u].push_back(DmavTask{mr, iv, f});
-        return;
-      }
-      const unsigned blockStep = nBlocks >> (n - l);
-      const Index colStep = Index{1} << l;
-      const Complex fw = f * mr.w;
-      for (unsigned i = 0; i < 2; ++i) {
-        for (unsigned j = 0; j < 2; ++j) {
-          (*this)(mr.n->e[2 * i + j], fw, u + i * blockStep,
-                  iv + j * colStep, l - 1);
-        }
-      }
-    }
-  };
-  Rec{nBlocks, n, border, &perBlock}(m, Complex{1.0}, 0, 0, n - 1);
-
   plan.blocks.resize(nBlocks);
   for (unsigned b = 0; b < nBlocks; ++b) {
     PlanBlock& block = plan.blocks[b];
     block.rowBegin = static_cast<Index>(b) * rows;
     block.rows = rows;
-    for (const DmavTask& task : perBlock[b]) {
-      flattenTask(task.m, border, task.start, block.rowBegin, task.f,
-                  plan.identFast, block.ops);
-    }
-    mergeAdjacent(block.ops);
-    promoteExclusive(block.ops, block.rowBegin, block.rows, block.zeroSpans);
-    fuseMac2(block.ops);
-    collapseStrided(block.ops);
+    lowerBlock(m, plan.nQubits - 1, 0, 0, Complex{1.0}, block.rowBegin, rows,
+               plan.identFast, block.ops, block.zeroSpans);
     block.cost = modelCost(block.ops, block.zeroSpans);
   }
 
@@ -385,17 +441,9 @@ void compileCached(const dd::mEdge& m, DmavPlan& plan) {
         }
         seen.emplace(task.m.n, std::make_pair(coeff, task.start));
       }
-      const std::size_t opsBegin = prog.ops.size();
-      flattenTask(task.m, a.borderLevel, ivBase, task.start, task.f,
-                  plan.identFast, prog.ops);
-      std::vector<SpanOp> taskOps(prog.ops.begin() +
-                                      static_cast<std::ptrdiff_t>(opsBegin),
-                                  prog.ops.end());
-      prog.ops.resize(opsBegin);
-      mergeAdjacent(taskOps);
-      promoteExclusive(taskOps, task.start, a.h, prog.zeroSpans);
-      fuseMac2(taskOps);
-      collapseStrided(taskOps);
+      std::vector<SpanOp> taskOps;
+      lowerBlock(task.m, a.borderLevel, ivBase, task.start, task.f,
+                 task.start, a.h, plan.identFast, taskOps, prog.zeroSpans);
       prog.ops.insert(prog.ops.end(), taskOps.begin(), taskOps.end());
     }
   }
@@ -431,37 +479,12 @@ bool isDiagonalRec(const dd::mNode* n,
   return true;
 }
 
-/// Writes the diagonal of edge `e` (node at `level`, span 2^(level+1)) into
-/// diag[idx..], with accumulated weight `f` (excluding e.w). A terminal edge
-/// above the bottom contributes only its first entry, matching flattenTask's
-/// len-1 convention; the remainder of the span is zero.
-void writeDiagRec(const dd::mEdge& e, Qubit level, Index idx, Complex f,
-                  Complex* diag) {
-  const Index len = Index{1} << (level + 1);
-  if (e.isZero()) {
-    simd::zeroFill(diag + idx, len);
-    return;
-  }
-  const Complex fw = f * e.w;
-  if (e.isTerminal()) {
-    diag[idx] = fw;
-    if (len > 1) {
-      simd::zeroFill(diag + idx + 1, len - 1);
-    }
-    return;
-  }
-  if (e.n->ident) {
-    std::fill(diag + idx, diag + idx + len, fw);
-    return;
-  }
-  const Index step = Index{1} << level;
-  writeDiagRec(e.n->e[0], level - 1, idx, fw, diag);
-  writeDiagRec(e.n->e[3], level - 1, idx + step, fw, diag);
-}
-
-/// Folds another diagonal gate into an already-written table: pointwise
+/// Folds the diagonal of edge `e` (node at `level`, span 2^(level+1),
+/// accumulated weight `f` excluding e.w) into diag[idx..]: pointwise
 /// product of the existing entries with this gate's diagonal. Identity
-/// subtrees with unit weight — the bulk of an RZ/CP DD — are skipped.
+/// subtrees with unit weight — the bulk of an RZ/CP DD — are skipped. A
+/// terminal edge above the bottom contributes only its first entry (the
+/// lowering's len-1 convention); the remainder of the span is zero.
 void foldDiagRec(const dd::mEdge& e, Qubit level, Index idx, Complex f,
                  Complex* diag) {
   const Index len = Index{1} << (level + 1);
@@ -636,22 +659,15 @@ bool DmavPlan::validFor(const dd::Package& pkg) const noexcept {
 }
 
 DmavPlan compileDmavPlan(const dd::mEdge& m, Qubit nQubits, unsigned threads,
-                         PlanMode mode, const dd::Package* pkg) {
+                         PlanMode mode, const dd::Package* pkg,
+                         const std::optional<DenseGateInfo>* dense) {
   FDD_TIMED_SCOPE("plan.compile");
   Stopwatch clock;
-  DmavPlan plan;
-  plan.root = m.n;
-  plan.rootWeight = m.w;
-  plan.nQubits = nQubits;
-  plan.dim = Index{1} << nQubits;
-  plan.threads = clampDmavThreads(nQubits, plan.dim == 1 ? 1 : threads);
-  plan.mode = mode;
-  plan.identFast = identFastPathEnabled();
-  plan.generation = pkg != nullptr ? pkg->mNodeGeneration() : 0;
-  plan.orderingEpoch = pkg != nullptr ? pkg->orderingEpoch() : 0;
+  DmavPlan plan = emptyPlan(m, nQubits, threads, mode, pkg);
   if (mode == PlanMode::Row) {
-    if (const auto dense = denseBlockProbe(m, nQubits)) {
-      compileDense(*dense, plan);
+    const auto info = dense != nullptr ? *dense : denseBlockProbe(m, nQubits);
+    if (info) {
+      compileDense(*info, plan);
     } else {
       compileRow(m, plan);
     }
@@ -696,9 +712,7 @@ std::optional<DenseGateInfo> denseBlockProbe(const dd::mEdge& m,
       if (n->ident) {
         continue;  // identity on [0, v]: all levels below are passive
       }
-      const bool passive = n->e[1].isZero() && n->e[2].isZero() &&
-                           n->e[0] == n->e[3] && !n->e[0].isZero();
-      if (!passive) {
+      if (!isPassive(n)) {
         activeLevel[static_cast<std::size_t>(n->v)] = 1;
       }
       for (const auto& e : n->e) {
@@ -780,39 +794,22 @@ DmavPlan compileDiagRunPlan(std::span<const dd::mEdge> gates, Qubit nQubits,
   assert(!gates.empty());
   FDD_TIMED_SCOPE("plan.compileDiagRun");
   Stopwatch clock;
-  DmavPlan plan;
-  plan.root = gates[0].n;
-  plan.rootWeight = gates[0].w;
-  plan.nQubits = nQubits;
-  plan.dim = Index{1} << nQubits;
-  plan.threads = clampDmavThreads(nQubits, plan.dim == 1 ? 1 : threads);
-  plan.mode = PlanMode::Row;
-  plan.identFast = identFastPathEnabled();
-  plan.generation = pkg != nullptr ? pkg->mNodeGeneration() : 0;
-  plan.orderingEpoch = pkg != nullptr ? pkg->orderingEpoch() : 0;
+  DmavPlan plan = emptyPlan(gates[0], nQubits, threads, PlanMode::Row, pkg);
   plan.fusedGates = gates.size();
   plan.extraRoots.reserve(gates.size() - 1);
   for (std::size_t g = 1; g < gates.size(); ++g) {
     plan.extraRoots.emplace_back(gates[g].n, gates[g].w);
   }
 
-  plan.diag.resize(plan.dim);
-  writeDiagRec(gates[0], nQubits - 1, 0, Complex{1.0}, plan.diag.data());
-  for (std::size_t g = 1; g < gates.size(); ++g) {
+  plan.diag.assign(plan.dim, Complex{1.0});
+  for (std::size_t g = 0; g < gates.size(); ++g) {
     foldDiagRec(gates[g], nQubits - 1, 0, Complex{1.0}, plan.diag.data());
   }
 
   // Uniform exclusive-write sweeps: every block costs the same, so the plain
   // round-robin assignment is already balanced.
   const unsigned t = plan.threads;
-  unsigned split = 1;
-  if (t > 1) {
-    while (split < kPlanSplitFactor && Index{t} * split * 2 <= plan.dim &&
-           plan.dim / (Index{t} * split * 2) >= kMinPlanBlockRows) {
-      split *= 2;
-    }
-  }
-  const unsigned nBlocks = t * split;
+  const unsigned nBlocks = rowBlockCount(t, plan.dim);
   const Index rows = plan.dim / nBlocks;
   plan.blocks.resize(nBlocks);
   plan.blocksOf.assign(t, {});

@@ -1,11 +1,11 @@
 #pragma once
-// DMAV plan compiler. A DmavPlan is a gate DD lowered — once — into flat,
-// replayable span operations, so that applying the same gate matrix again
-// becomes linear SIMD replay instead of pointer-chasing DD recursion
-// (assignRec/runTask). Deep circuits apply the same few gate DDs hundreds of
-// times (QFT rotation ladders, supremacy layers, fused DMAV groups), which
-// is what makes the one-time lowering pay for itself; see plan_cache.hpp for
-// the bounded LRU that amortizes compilation across gate applications.
+// DMAV plan compiler. A DmavPlan is a gate DD lowered into flat, replayable
+// span operations, so that applying the gate matrix is linear SIMD replay
+// instead of pointer-chasing DD recursion (assignRec/runTask). Lowering is
+// linear in the gate DD (see the comb paragraph below), so a plan pays for
+// itself even on first use; plan_cache.hpp keeps recent plans for the many
+// gate DDs that deep circuits apply again (QFT rotation ladders, supremacy
+// layers, fused DMAV groups).
 //
 // Op taxonomy (all ops act on spans of 2^n-element vectors):
 //   MacSpan      w[iw..] += f * v[iv..]   accumulating MAC from terminal
@@ -48,10 +48,18 @@
 //
 // Every op additionally carries a comb shape (count, stride): the op repeats
 // `count` times with all offsets advancing by `stride` amplitudes per
-// repetition (count == 1 for plain spans). The collapse pass turns the long
-// arithmetic runs that low-qubit gates produce — e.g. RZ(q0)'s alternating
-// per-element DiagScales — into two strided comb ops per block, so replay
-// cost stays O(ops) instead of O(2^n) dispatches.
+// repetition (count == 1 for plain spans). Combs come straight out of the
+// lowering. A *passive* level — e[1] and e[2] zero, e[0] == e[3] in node
+// and weight, i.e. the gate is the identity on that qubit — is never walked
+// path by path: the sub-DD below a run of passive levels is lowered once
+// and its ops repeat over the run, extending a comb that tiles its block or
+// becoming one. RZ(q0) is two stride-2 combs per block and RY(q0) two
+// Mac2Span combs, at any qubit count, and compiling them costs O(DD nodes),
+// not O(2^n). An op has one stride, so only a comb that does not tile its
+// block — a passive run above a gap between active qubits, as in
+// CX(c=5, t=0) — is copied once per repetition of the outer run.
+// Exclusive-write promotion and zero spans are decided from the footprint
+// of every repetition, tracked through the lowering rather than enumerated.
 //
 // Balanced replay: row-mode plans are compiled at sub-block granularity
 // (up to kPlanSplitFactor row blocks per thread) and the blocks are packed
@@ -248,10 +256,12 @@ inline constexpr std::size_t kMaxDiagRunGates = 64;
 
 /// Lowers the gate DD `m` (at `nQubits`, for `threads` workers) into a
 /// replayable plan. `pkg` is only used to stamp the plan's generation; pass
-/// nullptr when recycling-safety is handled externally.
-[[nodiscard]] DmavPlan compileDmavPlan(const dd::mEdge& m, Qubit nQubits,
-                                       unsigned threads, PlanMode mode,
-                                       const dd::Package* pkg = nullptr);
+/// nullptr when recycling-safety is handled externally. `dense`, when
+/// non-null, is denseBlockProbe(m, nQubits) already evaluated by the caller.
+[[nodiscard]] DmavPlan compileDmavPlan(
+    const dd::mEdge& m, Qubit nQubits, unsigned threads, PlanMode mode,
+    const dd::Package* pkg = nullptr,
+    const std::optional<DenseGateInfo>* dense = nullptr);
 
 /// True when the gate DD is diagonal: every node's off-diagonal children
 /// (e[1], e[2]) are zero. Such gates commute pointwise, so consecutive

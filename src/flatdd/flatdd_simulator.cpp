@@ -260,16 +260,20 @@ void FlatDDSimulator::applyDmav(const dd::mEdge& gate) {
   const unsigned threads =
       dim < options_.parallelThresholdDim ? 1 : options_.threads;
   // A gate that qualifies for the single-pass DenseBlock lowering always
-  // beats the cached (buffer-reduce) variant: skip Eq. 5/6 and force row
-  // mode, where compileDmavPlan picks the dense shape. forceCaching is an
-  // ablation flag and keeps overriding this.
-  const bool dense = options_.usePlanCache && !options_.forceCaching &&
-                     denseBlockProbe(gate, nQubits_).has_value();
-  bool useCache = options_.forceCaching;
-  if (!useCache && !dense && options_.useCostModel) {
-    useCache = cachingBeneficial(gate, nQubits_, threads, simd::lanes());
+  // beats the cached (buffer-reduce) variant: skip the Eq. 5/6 choice and
+  // force row mode, where compileDmavPlan picks the dense shape from this
+  // same probe. forceCaching is an ablation flag and keeps overriding this.
+  std::optional<DenseGateInfo> dense;
+  if (options_.usePlanCache && !options_.forceCaching) {
+    dense = denseBlockProbe(gate, nQubits_);
   }
-  stats_.dmavModelCost += dmavCost(gate, nQubits_, threads, simd::lanes());
+  // C1 and C2 once per gate: they pick the variant and are charged as
+  // min(C1, C2), the cost dmavCost reports.
+  const fp c1 = costNoCache(gate, clampDmavThreads(nQubits_, threads));
+  const fp c2 = costWithCache(gate, nQubits_, threads, simd::lanes());
+  const bool useCache = options_.forceCaching ||
+                        (!dense && options_.useCostModel && c2 < c1);
+  stats_.dmavModelCost += c1 < c2 ? c1 : c2;
   if (options_.usePlanCache) {
     const PlanMode mode = useCache ? PlanMode::Cached : PlanMode::Row;
     // getShared keeps the plan alive even if a concurrent session's miss
@@ -278,7 +282,7 @@ void FlatDDSimulator::applyDmav(const dd::mEdge& gate) {
     // and would misattribute.
     bool wasHit = false;
     const std::shared_ptr<const DmavPlan> plan = cache_->getShared(
-        ddSim_.package(), gate, nQubits_, threads, mode, &wasHit);
+        ddSim_.package(), gate, nQubits_, threads, mode, &wasHit, &dense);
     if (wasHit) {
       ++stats_.planCacheHits;
     } else {

@@ -48,7 +48,7 @@ std::size_t PlanCache::KeyHash::operator()(const Key& k) const noexcept {
 
 std::shared_ptr<const DmavPlan> PlanCache::getShared(
     dd::Package& pkg, const dd::mEdge& m, Qubit nQubits, unsigned threads,
-    PlanMode mode, bool* wasHit) {
+    PlanMode mode, bool* wasHit, const std::optional<DenseGateInfo>* dense) {
   Key key;
   key.pkg = &pkg;
   key.root = m.n;
@@ -60,7 +60,7 @@ std::shared_ptr<const DmavPlan> PlanCache::getShared(
   key.identFast = identFastPathEnabled();
   key.epoch = pkg.orderingEpoch();
   return getCommon(pkg, std::move(key), wasHit, [&] {
-    return compileDmavPlan(m, nQubits, threads, mode, &pkg);
+    return compileDmavPlan(m, nQubits, threads, mode, &pkg, dense);
   });
 }
 

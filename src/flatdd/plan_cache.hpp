@@ -1,9 +1,10 @@
 #pragma once
-// Bounded LRU cache of compiled DmavPlans (see dmav_plan.hpp). The cache is
-// what turns the one-time plan compilation into a per-circuit cost: deep
-// circuits apply the same few gate DDs (canonical QMDDs dedupe repeated
-// gates structurally) hundreds of times, so after warm-up every application
-// is a pure replay.
+// Bounded LRU cache of compiled DmavPlans (see dmav_plan.hpp). Compiling a
+// plan is linear in the gate DD (passive levels lower to combs), which
+// measures at about one replay or less for single gates, so a miss is
+// cheap and the LRU only saves that one compile on repeats. Repeats are
+// common: deep circuits apply the same few gate DDs (canonical QMDDs dedupe
+// repeated gates structurally) hundreds of times.
 //
 // Key identity and node recycling: a plan is keyed by the gate DD's root
 // node pointer plus its edge weight (canonical ComplexTable weights are
@@ -74,9 +75,12 @@ class PlanCache {
   /// package (the owning session's job). `wasHit`, when non-null, receives
   /// whether this call was served from cache — callers that keep their own
   /// per-session stats use it instead of the shared stats() totals.
+  /// `dense`, when non-null, is the caller's denseBlockProbe(m, nQubits)
+  /// result, reused by a row-mode compile instead of probing again.
   [[nodiscard]] std::shared_ptr<const DmavPlan> getShared(
       dd::Package& pkg, const dd::mEdge& m, Qubit nQubits, unsigned threads,
-      PlanMode mode, bool* wasHit = nullptr);
+      PlanMode mode, bool* wasHit = nullptr,
+      const std::optional<DenseGateInfo>* dense = nullptr);
 
   /// Returns the fused DiagRun plan for a run of consecutive diagonal gates
   /// (compileDiagRunPlan on a miss). The key embeds every gate's (root,

@@ -194,6 +194,53 @@ TEST(DmavPlan, LowQubitPermutationCollapsesToStridedCombs) {
       1e-12);
 }
 
+TEST(DmavPlan, OpsPerBlockDoNotGrowWithQubitCount) {
+  // The levels where a gate acts as the identity lower to combs, not to
+  // one op per DD path: a block's op count depends on the gate's active
+  // qubits only. Checked at the top band (RY(q0), H(q1), CX(0->1),
+  // CX(1->0), CCX) and across a gap band (CX from the top qubit to q0).
+  const auto gatesAt = [](Qubit n) {
+    return std::vector<std::pair<const char*, qc::Operation>>{
+        {"ry_q0", {qc::GateKind::RY, 0, {}, {0.7}}},
+        {"h_q1", {qc::GateKind::H, 1, {}, {}}},
+        {"cx_c0_t1", {qc::GateKind::X, 1, {0}, {}}},
+        {"cx_c1_t0", {qc::GateKind::X, 0, {1}, {}}},
+        {"cx_top_t0", {qc::GateKind::X, 0, {n - 1}, {}}},
+        {"ccx_c01_t2", {qc::GateKind::X, 2, {0, 1}, {}}},
+    };
+  };
+  for (std::size_t g = 0; g < gatesAt(8).size(); ++g) {
+    const char* name = gatesAt(8)[g].first;
+    for (const unsigned threads : {1u, 4u}) {
+      std::vector<std::pair<std::size_t, double>> shapes;  // (max, mean)
+      for (const Qubit n : {8, 12, 16, 20}) {
+        const qc::Operation op = gatesAt(n)[g].second;
+        dd::Package p{n};
+        const DmavPlan plan = compileDmavPlan(p.makeGateDD(op), n, threads,
+                                              PlanMode::Row, &p);
+        ASSERT_EQ(plan.denseK, 0u) << name;
+        std::size_t most = 0;
+        for (const PlanBlock& block : plan.blocks) {
+          most = std::max(most, block.ops.size());
+        }
+        shapes.emplace_back(most, static_cast<double>(plan.opCount()) /
+                                      static_cast<double>(plan.blocks.size()));
+        if (n == 8) {
+          const auto v = test::randomState(n, 99);
+          EXPECT_STATE_NEAR(replayRow(plan, v),
+                            test::denseApply(test::denseOperator(op, n), v),
+                            1e-12)
+              << name << " t=" << threads;
+        }
+      }
+      for (const auto& shape : shapes) {
+        EXPECT_EQ(shape, shapes.front()) << name << " t=" << threads;
+      }
+      EXPECT_LE(shapes.front().first, 4u) << name << " t=" << threads;
+    }
+  }
+}
+
 TEST(DmavPlan, IdentFastPathFlagIsBakedIn) {
   const Qubit n = 6;
   dd::Package p{n};
@@ -240,6 +287,39 @@ TEST(DmavPlan, BlocksAreSplitFinerThanThreadsAndPackedOnce) {
     for (const SpanOp& sop : block.ops) {
       EXPECT_GE(sop.iw, block.rowBegin);
       EXPECT_LE(sop.extent(), block.rowBegin + block.rows);
+    }
+  }
+}
+
+TEST(DmavPlan, SiblingsSharingOutputRowsStayAccumulating) {
+  // U = CX(c=0, t=top) * H(q): inside the H node, the e0 and e1 children
+  // each write half of the node's rows, and the same half (U's other rows
+  // take their input from columns outside the node). In a cached-mode
+  // column block the row count then matches the block, so only the
+  // explicit span check shows that the two children write the same
+  // amplitudes; with q > 1 the spans are combs of equal stride.
+  for (const auto& [n, q] : {std::pair<Qubit, Qubit>{3, 1}, {6, 3}}) {
+    dd::Package p{n};
+    const qc::Operation h{qc::GateKind::H, q, {}, {}};
+    const qc::Operation cx{qc::GateKind::X, n - 1, {0}, {}};
+    const dd::mEdge m = p.multiply(p.makeGateDD(cx), p.makeGateDD(h));
+    const auto v = test::randomState(n, 90);
+    const auto ref = test::denseApply(
+        test::denseOperator(cx, n),
+        test::denseApply(test::denseOperator(h, n), v));
+    AlignedVector<Complex> in(v.begin(), v.end());
+    AlignedVector<Complex> out(v.size());
+    DmavWorkspace ws;
+    for (const unsigned threads : {1u, 2u}) {
+      const DmavPlan row = compileDmavPlan(m, n, threads, PlanMode::Row, &p);
+      EXPECT_FALSE(row.fullyExclusive()) << "n=" << n;
+      EXPECT_STATE_NEAR(replayRow(row, v), ref, 1e-12)
+          << "row n=" << n << " t=" << threads;
+      const DmavPlan cached =
+          compileDmavPlan(m, n, threads, PlanMode::Cached, &p);
+      replayPlanCached(cached, in, out, ws);
+      EXPECT_STATE_NEAR(out, ref, 1e-12)
+          << "cached n=" << n << " t=" << threads;
     }
   }
 }

@@ -1,5 +1,6 @@
 // Randomized DMAV-vs-array equivalence: random 1q/2q/controlled gates over
-// 2-10 qubits, thread counts {1,2,4,8}, through the plain, cached, and
+// 2-10 qubits, including controls far from their target that leave passive
+// gap bands, at thread counts {1,2,4,8}, through the plain, cached, and
 // plan-replay execution paths, with the ident fast path both on and off.
 // The oracle is the dense reference (test::denseOperator/denseApply), which
 // shares no code with the DD package or the DMAV kernels.
@@ -29,7 +30,7 @@ qc::Operation randomGate(Qubit n, Xoshiro256& rng) {
     }
     return o;
   };
-  switch (rng.below(10)) {
+  switch (rng.below(12)) {
     case 0: return {qc::GateKind::H, target, {}, {}};
     case 1: return {qc::GateKind::X, target, {}, {}};
     case 2: return {qc::GateKind::T, target, {}, {}};
@@ -54,6 +55,32 @@ qc::Operation randomGate(Qubit n, Xoshiro256& rng) {
                    : qc::Operation{qc::GateKind::P, target,
                                    {otherThan(target)},
                                    {rng.uniform(0, 2 * PI)}};
+    case 10: {
+      // Gap band: the levels strictly between control and target are
+      // passive below an active level, so they lower to nested combs.
+      if (n < 4) {
+        return {qc::GateKind::Y, target, {}, {}};
+      }
+      const auto lo = static_cast<Qubit>(rng.below(n - 3));
+      const auto hi = static_cast<Qubit>(lo + 3 + rng.below(n - 3 - lo));
+      const bool controlBelow = rng.below(2) == 0;
+      const Qubit control = controlBelow ? lo : hi;
+      const Qubit far = controlBelow ? hi : lo;
+      switch (rng.below(3)) {
+        case 0: return {qc::GateKind::X, far, {control}, {}};
+        case 1: return {qc::GateKind::Z, far, {control}, {}};
+        default:
+          return {qc::GateKind::P, far, {control}, {rng.uniform(0, 2 * PI)}};
+      }
+    }
+    case 11:
+      // Toffoli controlled on both ends: gap bands on either side of the
+      // target.
+      return n < 3 ? qc::Operation{qc::GateKind::H, target, {}, {}}
+                   : qc::Operation{qc::GateKind::X,
+                                   static_cast<Qubit>(1 + rng.below(n - 2)),
+                                   {0, n - 1},
+                                   {}};
     default: {
       if (n < 3) {
         return {qc::GateKind::SX, target, {}, {}};
@@ -80,7 +107,7 @@ TEST_P(DmavRandom, AllPathsMatchDenseReference) {
   for (Qubit n = 2; n <= 10; n += 2) {
     dd::Package p{n};
     DmavWorkspace ws;
-    for (int trial = 0; trial < 3; ++trial) {
+    for (int trial = 0; trial < 6; ++trial) {
       const qc::Operation op = randomGate(n, rng);
       const dd::mEdge m = p.makeGateDD(op);
       const auto v = test::randomState(
