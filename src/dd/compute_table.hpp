@@ -2,7 +2,10 @@
 // Direct-mapped operation cache ("compute table"). DD operations are
 // memoized on their operands; a collision simply overwrites the slot, which
 // bounds memory and needs no eviction policy. Flushed on garbage collection
-// because results may reference reclaimed nodes.
+// because results may reference reclaimed nodes. A flush is O(1): every slot
+// carries the generation it was written in, and flush() starts a new one, so
+// older slots stop matching. The 64-bit tag never wraps. The slot array is
+// allocated on first insert, so a table that is never used costs nothing.
 //
 // lookup() copies the result out instead of returning a pointer into the
 // slot: callers hold the result across recursive calls, and any insert()
@@ -21,32 +24,28 @@ class ComputeTable {
  public:
   static constexpr std::size_t kSlots = std::size_t{1} << BitsV;
 
-  ComputeTable() : slots_(kSlots) {}
-
   /// Copies the cached result for `key` into `out`; returns false on miss.
   [[nodiscard]] bool lookup(const KeyT& key, ResultT& out) noexcept {
-    const Slot& s = slots_[key.hash() & (kSlots - 1)];
-    if (s.valid && s.key == key) {
-      ++hits_;
-      out = s.result;
-      return true;
+    if (!slots_.empty()) {
+      const Slot& s = slots_[key.hash() & (kSlots - 1)];
+      if (s.generation == generation_ && s.key == key) {
+        ++hits_;
+        out = s.result;
+        return true;
+      }
     }
     ++misses_;
     return false;
   }
 
-  void insert(const KeyT& key, const ResultT& result) noexcept {
-    Slot& s = slots_[key.hash() & (kSlots - 1)];
-    s.key = key;
-    s.result = result;
-    s.valid = true;
+  void insert(const KeyT& key, const ResultT& result) {
+    if (slots_.empty()) {
+      slots_.resize(kSlots);
+    }
+    slots_[key.hash() & (kSlots - 1)] = Slot{key, result, generation_};
   }
 
-  void flush() noexcept {
-    for (auto& s : slots_) {
-      s.valid = false;
-    }
-  }
+  void flush() noexcept { ++generation_; }
 
   [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
@@ -58,9 +57,10 @@ class ComputeTable {
   struct Slot {
     KeyT key{};
     ResultT result{};
-    bool valid = false;
+    std::uint64_t generation = 0;  // live iff equal to the table's
   };
   std::vector<Slot> slots_;
+  std::uint64_t generation_ = 1;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

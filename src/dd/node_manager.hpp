@@ -6,6 +6,8 @@
 // Nodes are immutable once inserted (apart from their refcount), so other
 // threads may walk finished DDs while no mutation is in flight.
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -58,14 +60,23 @@ class NodePool {
 /// Open-hashing unique table, one bucket array per level. getOrInsert is the
 /// single gateway through which nodes come into existence, which is what
 /// guarantees DD canonicity (identical sub-DDs share one node).
+///
+/// Housekeeping scales with live nodes, not with a fixed capacity: a level's
+/// bucket array starts at kMinBuckets, doubles when the level holds more
+/// nodes than buckets (load factor 1), and shrinks back after a collection
+/// leaves it below 1/8 full. Resizing relinks the existing chains.
 template <typename NodeT>
 class UniqueTable {
  public:
-  static constexpr std::size_t kBucketBits = 13;
-  static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
+  static constexpr std::size_t kMinBuckets = 64;
 
   explicit UniqueTable(Qubit levels)
-      : buckets_(static_cast<std::size_t>(levels) * kBuckets, nullptr) {}
+      : levels_(static_cast<std::size_t>(levels)) {
+    for (auto& lvl : levels_) {
+      lvl.buckets.assign(kMinBuckets, nullptr);
+    }
+    bucketCount_ = levels_.size() * kMinBuckets;
+  }
 
   /// Finds a node with the given level/children or creates one. `created`
   /// reports whether a new node was inserted (callers then take ownership of
@@ -73,7 +84,9 @@ class UniqueTable {
   NodeT* getOrInsert(Qubit level,
                      const std::array<Edge<NodeT>, NodeT::kRadix>& e,
                      NodePool<NodeT>& pool, bool& created) {
-    NodeT*& head = bucketAt(level, nodeHash(level, e));
+    Level& lvl = levels_[static_cast<std::size_t>(level)];
+    NodeT*& head =
+        lvl.buckets[nodeHash(level, e) & (lvl.buckets.size() - 1)];
     for (NodeT* cur = head; cur != nullptr; cur = cur->next) {
       if (cur->e == e) {
         created = false;
@@ -88,19 +101,26 @@ class UniqueTable {
     head = node;
     ++count_;
     created = true;
+    if (++lvl.count > lvl.buckets.size()) {
+      resize(lvl, 2 * lvl.buckets.size());
+    }
     return node;
   }
 
   /// Removes dead nodes (ref == 0), returning them to the pool and
-  /// decrementing children references via `decRefChild`. Runs passes until a
-  /// fixpoint so chains of dead parents collapse in one call.
+  /// decrementing children references via `decRefChild`. Children sit exactly
+  /// one level below their parent, so sweeping levels top-down sees every
+  /// node only after all its parents were swept: a single pass collapses
+  /// whole chains of dead nodes. Levels holding no node are skipped.
   template <typename DecRefChild>
   std::size_t collect(NodePool<NodeT>& pool, DecRefChild&& decRefChild) {
     std::size_t collected = 0;
-    bool removedAny = true;
-    while (removedAny) {
-      removedAny = false;
-      for (auto& head : buckets_) {
+    for (auto lvl = levels_.rbegin(); lvl != levels_.rend(); ++lvl) {
+      if (lvl->count == 0) {
+        continue;
+      }
+      bucketVisits_ += lvl->buckets.size();
+      for (auto& head : lvl->buckets) {
         NodeT** link = &head;
         while (*link != nullptr) {
           NodeT* cur = *link;
@@ -110,41 +130,72 @@ class UniqueTable {
               decRefChild(child);
             }
             pool.release(cur);
-            --count_;
+            --lvl->count;
             ++collected;
-            removedAny = true;
           } else {
             link = &cur->next;
           }
         }
       }
+      if (lvl->buckets.size() > kMinBuckets &&
+          8 * lvl->count < lvl->buckets.size()) {
+        resize(*lvl, std::max(kMinBuckets, std::bit_ceil(2 * lvl->count)));
+      }
     }
+    count_ -= collected;
     return collected;
   }
 
   /// Visits every live node.
   template <typename F>
   void forEach(F&& fn) const {
-    for (const NodeT* head : buckets_) {
-      for (const NodeT* cur = head; cur != nullptr; cur = cur->next) {
-        fn(cur);
+    for (const Level& lvl : levels_) {
+      for (const NodeT* head : lvl.buckets) {
+        for (const NodeT* cur = head; cur != nullptr; cur = cur->next) {
+          fn(cur);
+        }
       }
     }
   }
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
+  /// Bucket slots over all levels (the table's current capacity).
+  [[nodiscard]] std::size_t bucketCount() const noexcept {
+    return bucketCount_;
+  }
+  /// Buckets scanned by collect() so far, summed over calls.
+  [[nodiscard]] std::size_t bucketVisits() const noexcept {
+    return bucketVisits_;
+  }
   [[nodiscard]] std::size_t memoryBytes() const noexcept {
-    return buckets_.size() * sizeof(NodeT*);
+    return bucketCount_ * sizeof(NodeT*) + levels_.size() * sizeof(Level);
   }
 
  private:
-  NodeT*& bucketAt(Qubit level, std::uint64_t hash) {
-    const std::size_t slot = hash & (kBuckets - 1);
-    return buckets_[static_cast<std::size_t>(level) * kBuckets + slot];
+  struct Level {
+    std::vector<NodeT*> buckets;  // size is a power of two
+    std::size_t count = 0;
+  };
+
+  void resize(Level& lvl, std::size_t size) {
+    std::vector<NodeT*> buckets(size, nullptr);
+    for (NodeT* cur : lvl.buckets) {
+      while (cur != nullptr) {
+        NodeT* next = cur->next;
+        NodeT*& head = buckets[nodeHash(cur->v, cur->e) & (size - 1)];
+        cur->next = head;
+        head = cur;
+        cur = next;
+      }
+    }
+    bucketCount_ = bucketCount_ - lvl.buckets.size() + size;
+    lvl.buckets = std::move(buckets);
   }
 
-  std::vector<NodeT*> buckets_;
+  std::vector<Level> levels_;
   std::size_t count_ = 0;
+  std::size_t bucketCount_ = 0;
+  std::size_t bucketVisits_ = 0;
 };
 
 }  // namespace fdd::dd

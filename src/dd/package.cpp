@@ -290,6 +290,8 @@ PackageStats Package::stats() const {
   s.peakMNodes = peakMNodes_;
   s.gcRuns = gcRuns_;
   s.gcCollected = gcCollected_;
+  s.gcBucketVisits = vUnique_.bucketVisits() + mUnique_.bucketVisits();
+  s.uniqueBuckets = vUnique_.bucketCount() + mUnique_.bucketCount();
   s.memoryBytes = vPool_.allocatedBytes() + mPool_.allocatedBytes() +
                   vUnique_.memoryBytes() + mUnique_.memoryBytes() +
                   vAddTable_.memoryBytes() + mAddTable_.memoryBytes() +

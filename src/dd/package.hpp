@@ -38,6 +38,11 @@ struct PackageStats {
   std::size_t peakMNodes = 0;
   std::size_t gcRuns = 0;
   std::size_t gcCollected = 0;
+  // Unique-table buckets scanned by all GC runs so far. A run scans each
+  // non-empty level once, and a level has at most about two buckets per
+  // node, so a run costs O(nodes + levels) whatever the DD depth.
+  std::size_t gcBucketVisits = 0;
+  std::size_t uniqueBuckets = 0;  // current bucket slots, both unique tables
   std::size_t memoryBytes = 0;  // arenas + tables, approximate
   // Compute-table health, summed over the four memo tables.
   std::size_t computeHits = 0;
@@ -136,8 +141,10 @@ class Package {
   void incRef(const mEdge& e) noexcept { incRefNode(e.n); }
   void decRef(const mEdge& e) noexcept { decRefNode(e.n); }
 
-  /// Reclaims unreferenced nodes when the tables are crowded (always when
-  /// `force`). Never call while operation intermediates are unprotected.
+  /// Reclaims unreferenced nodes once the live node count reaches the GC
+  /// threshold (always when `force`): one top-down sweep of the unique
+  /// tables, then an O(1) compute-table flush. Never call while operation
+  /// intermediates are unprotected.
   void garbageCollect(bool force = false);
 
   /// Incremented every time garbageCollect() actually releases matrix nodes

@@ -1,6 +1,7 @@
 // DD package core: node construction and normalization invariants, canonicity
 // (structural sharing), basis states, amplitude queries, ref counting and
-// garbage collection, and the compute table's key matching.
+// garbage collection, unique-table growth, and the compute table's key
+// matching and flush.
 
 #include <gtest/gtest.h>
 
@@ -259,6 +260,104 @@ TEST(Package, RefcountsBalanceAndTerminalsStaySaturated) {
   EXPECT_EQ(vNode::terminal()->ref, kRefSaturated);
 }
 
+TEST(Package, ForcedGcReclaimsADeepDdInOneSweep) {
+  constexpr Qubit kQubits = 32;
+  constexpr std::size_t kMinBuckets = UniqueTable<vNode>::kMinBuckets;
+  Package p{kQubits};
+  // Residents on every level of both tables (|0...0> and the cached identity
+  // chain) keep every level non-empty, so a second pass over the tables
+  // would show in the bucket visits.
+  const vEdge resident = p.makeZeroState();
+  p.incRef(resident);
+  (void)p.makeIdent(kQubits - 1);
+  p.garbageCollect(true);
+  const PackageStats base = p.stats();
+
+  const vEdge basis = p.makeBasisState(0xdeadbeefULL);
+  p.incRef(basis);
+  const std::vector<Qubit> controls{3, 18, 30};  // all set: H acts
+  const mEdge gate = p.makeGateDD(qc::gateMatrix(qc::GateKind::H, {}), 9,
+                                  controls);
+  p.incRef(gate);
+  const vEdge product = p.multiply(gate, basis);
+  p.incRef(product);
+  EXPECT_EQ(p.nodeCount(product), static_cast<std::size_t>(kQubits));
+  p.decRef(product);
+  p.decRef(gate);
+  p.decRef(basis);
+
+  const PackageStats before = p.stats();
+  const std::size_t garbage = before.vNodesLive + before.mNodesLive -
+                              base.vNodesLive - base.mNodesLive;
+  ASSERT_GE(garbage, 2 * static_cast<std::size_t>(kQubits));
+  p.garbageCollect(true);
+  const PackageStats after = p.stats();
+
+  // Every unreferenced node goes in one call, the residents stay.
+  EXPECT_EQ(after.vNodesLive, base.vNodesLive);
+  EXPECT_EQ(after.mNodesLive, base.mNodesLive);
+  EXPECT_EQ(after.gcCollected - before.gcCollected, garbage);
+  // One sweep: no bucket is scanned twice (a bottom-up fixpoint needs one
+  // pass per level of the dead chain)...
+  const std::size_t visits = after.gcBucketVisits - before.gcBucketVisits;
+  EXPECT_LE(visits, before.uniqueBuckets);
+  // ...and the tables it sweeps are sized by their nodes, not preallocated.
+  const std::size_t nodes = before.vNodesLive + before.mNodesLive;
+  EXPECT_LE(visits, 2 * nodes + 2 * kQubits * kMinBuckets);
+  EXPECT_TRUE(p.checkCanonical());
+  EXPECT_NEAR(std::abs(p.getAmplitude(resident, 0) - Complex{1.0}), 0.0,
+              1e-12);
+}
+
+TEST(Package, UniqueTableGrowsAndShrinksWithItsNodes) {
+  constexpr Qubit kQubits = 15;
+  constexpr std::size_t kMinBuckets = UniqueTable<vNode>::kMinBuckets;
+  const test::DenseVector amps = test::randomState(kQubits, 515);
+  Package p{kQubits};
+  const PackageStats empty = p.stats();
+  EXPECT_EQ(empty.uniqueBuckets, 2 * kQubits * kMinBuckets);
+
+  // A random state has no shared sub-vectors: 2^14 nodes on level 0 alone,
+  // which takes that level's buckets through eight doublings.
+  const vEdge state = p.fromArray(amps);
+  p.incRef(state);
+  const PackageStats grown = p.stats();
+  const std::size_t nodes = p.nodeCount(state);
+  EXPECT_EQ(nodes, (std::size_t{1} << kQubits) - 1);
+  EXPECT_EQ(grown.vNodesLive, nodes);
+  EXPECT_GE(grown.uniqueBuckets, std::size_t{1} << (kQubits - 1));
+  EXPECT_TRUE(p.checkCanonical());
+  const auto expectAmplitudes = [&](const vEdge& s) {
+    const AlignedVector<Complex> flat = p.toArray(s);
+    for (std::size_t i = 0; i < amps.size(); ++i) {
+      ASSERT_NEAR(std::abs(flat[i] - amps[i]), 0.0, 1e-9) << "amplitude " << i;
+    }
+  };
+  expectAmplitudes(state);
+
+  // Refcounts balance: dropping the root frees every node, and the emptied
+  // levels shrink back to their initial buckets.
+  EXPECT_EQ(state.n->ref, 1u);
+  p.decRef(state);
+  p.garbageCollect(true);
+  EXPECT_EQ(p.stats().vNodesLive, 0u);
+  EXPECT_EQ(p.stats().uniqueBuckets, empty.uniqueBuckets);
+
+  // Rebuilding through the shrunk tables gives the same DD.
+  const vEdge rebuilt = p.fromArray(amps);
+  p.incRef(rebuilt);
+  EXPECT_EQ(p.nodeCount(rebuilt), nodes);
+  EXPECT_EQ(p.stats().vNodesLive, nodes);
+  EXPECT_TRUE(p.checkCanonical());
+  expectAmplitudes(rebuilt);
+}
+
+TEST(Package, ConstructionDoesNotPreallocateTables) {
+  // Tables grow with use: a wide package starts small (it used to zero-fill
+  // about 8 MB of buckets and compute-table slots up front).
+  EXPECT_LT(Package{30}.stats().memoryBytes, std::size_t{1} << 20);
+}
+
 TEST(ComputeTable, LookupNeverReturnsAnotherKeysResult) {
   // A 256-slot table holding 4096 keys: most inserts evict a colliding key.
   // Keys and results encode the same integer, so a lookup that served
@@ -290,6 +389,55 @@ TEST(ComputeTable, LookupNeverReturnsAnotherKeysResult) {
   table.flush();
   vEdge out;
   EXPECT_FALSE(table.lookup(keyOf(1), out));
+}
+
+TEST(ComputeTable, NoEntryHitsAfterAFlush) {
+  // 512 keys over 256 slots, so stale and fresh entries collide. Every
+  // round writes a batch, flushes, and must then miss on the whole batch —
+  // also once fresh inserts have overwritten some of the stale slots.
+  using Key = MulKey<mNode, vNode>;
+  ComputeTable<Key, vEdge, 8> table;
+  const auto keyOf = [](std::uintptr_t id) {
+    return Key{reinterpret_cast<const mNode*>(id << 4),
+               reinterpret_cast<const vNode*>(id << 8)};
+  };
+  const auto resultOf = [](std::uintptr_t id, int round) {
+    return vEdge{reinterpret_cast<vNode*>(id << 12),
+                 Complex(static_cast<fp>(id), static_cast<fp>(round))};
+  };
+  Xoshiro256 rng{31337};
+  std::vector<std::uintptr_t> batch(96);
+  for (int round = 0; round < 2'000; ++round) {
+    for (auto& id : batch) {
+      id = (rng() % 512) + 1;
+      table.insert(keyOf(id), resultOf(id, round));
+    }
+    table.flush();
+    vEdge out;
+    for (const std::uintptr_t id : batch) {
+      ASSERT_FALSE(table.lookup(keyOf(id), out)) << "round " << round;
+    }
+    const std::uintptr_t fresh = (rng() % 512) + 1;
+    table.insert(keyOf(fresh), resultOf(fresh, -round));
+    for (const std::uintptr_t id : batch) {
+      if (id != fresh) {
+        ASSERT_FALSE(table.lookup(keyOf(id), out)) << "round " << round;
+      }
+    }
+    ASSERT_TRUE(table.lookup(keyOf(fresh), out));
+    ASSERT_EQ(out, resultOf(fresh, -round));
+  }
+}
+
+TEST(ComputeTable, UnusedTableHoldsNoSlots) {
+  ComputeTable<AddKey<vNode>, vEdge> table;
+  vEdge out;
+  EXPECT_FALSE(table.lookup(AddKey<vNode>{vEdge::one(), vEdge::one()}, out));
+  table.flush();
+  EXPECT_EQ(table.memoryBytes(), 0u);
+  table.insert(AddKey<vNode>{vEdge::one(), vEdge::one()}, vEdge::one());
+  EXPECT_GT(table.memoryBytes(), 0u);
+  EXPECT_TRUE(table.lookup(AddKey<vNode>{vEdge::one(), vEdge::one()}, out));
 }
 
 }  // namespace
