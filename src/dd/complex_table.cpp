@@ -1,6 +1,5 @@
 #include "dd/complex_table.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -12,7 +11,11 @@ constexpr fp kSeedValues[] = {0.0,  1.0,        -1.0,       0.5,
 }  // namespace
 
 RealTable::RealTable(fp tolerance)
-    : tol_{tolerance}, bucketWidth_{4 * tolerance}, heads_(kSlots, 0) {
+    : tol_{tolerance}, bucketWidth_{4 * tolerance}, heads_(kMinHeads, 0) {
+  seed();
+}
+
+void RealTable::seed() {
   // Pre-seed the values virtually every gate set produces, so they become
   // the representatives rather than whatever jittered variant shows up first.
   for (const fp v : kSeedValues) {
@@ -24,16 +27,30 @@ std::int64_t RealTable::bucketOf(fp x) const noexcept {
   return static_cast<std::int64_t>(std::floor(x / bucketWidth_));
 }
 
-std::size_t RealTable::slotOf(std::int64_t bucket) noexcept {
+std::size_t RealTable::slotOf(std::int64_t bucket) const noexcept {
   auto h = static_cast<std::uint64_t>(bucket) * 0x9e3779b97f4a7c15ULL;
   h ^= h >> 29;
-  return static_cast<std::size_t>(h) & (kSlots - 1);
+  return static_cast<std::size_t>(h) & (heads_.size() - 1);
 }
 
 void RealTable::insert(std::int64_t bucket, fp x) {
   std::uint32_t& head = heads_[slotOf(bucket)];
   entries_.push_back(Entry{bucket, x, head});
   head = static_cast<std::uint32_t>(entries_.size());
+  if (entries_.size() > heads_.size()) {
+    rehash(2 * heads_.size());
+  }
+}
+
+void RealTable::rehash(std::size_t count) {
+  std::vector<std::uint32_t>(count, 0).swap(heads_);
+  // Prepending in insertion order leaves every chain newest-first.
+  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
+    Entry& e = entries_[i];
+    std::uint32_t& head = heads_[slotOf(e.bucket)];
+    e.next = head;
+    head = i + 1;
+  }
 }
 
 fp RealTable::lookup(fp x) {
@@ -72,11 +89,9 @@ void RealTable::insertExact(fp x) {
 }
 
 void RealTable::clear() {
-  std::fill(heads_.begin(), heads_.end(), 0);
   entries_.clear();
-  for (const fp v : kSeedValues) {
-    (void)lookup(v);
-  }
+  rehash(kMinHeads);
+  seed();
 }
 
 std::size_t RealTable::memoryBytes() const noexcept {

@@ -9,9 +9,13 @@
 // We canonicalize the real and imaginary components independently through a
 // bucketed table of doubles. Lookup probes the value's bucket and both
 // neighbors, so two values within the tolerance always map to the same
-// representative even when they straddle a bucket boundary. Buckets hash
-// into a fixed array of chain heads; entries live in one growing vector
-// and are linked by index, so the table never rehashes.
+// representative even when they straddle a bucket boundary. Entries live in
+// one growing vector and are linked by index into chains that hash from an
+// array of heads. The heads grow with the entries: they start at kMinHeads,
+// double when the entries outnumber them (load factor 1) and go back to
+// kMinHeads in clear(). A resize relinks every chain newest-first, the order
+// inserts leave it in, so a lookup returns the same representative before
+// and after any resize.
 
 #include <cstdint>
 #include <vector>
@@ -22,6 +26,8 @@ namespace fdd::dd {
 
 class RealTable {
  public:
+  static constexpr std::size_t kMinHeads = 64;
+
   explicit RealTable(fp tolerance);
 
   /// Returns the canonical representative for x (inserting x if no existing
@@ -38,6 +44,8 @@ class RealTable {
 
   [[nodiscard]] fp tolerance() const noexcept { return tol_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  /// Chain heads currently allocated (the table's hash capacity).
+  [[nodiscard]] std::size_t headCount() const noexcept { return heads_.size(); }
   /// Bytes of heap the table currently holds (for memory accounting).
   [[nodiscard]] std::size_t memoryBytes() const noexcept;
 
@@ -48,12 +56,12 @@ class RealTable {
     std::uint32_t next;   // 1 + index of the next entry in the chain; 0 ends
   };
 
-  static constexpr std::size_t kSlotBits = 15;
-  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
-
   [[nodiscard]] std::int64_t bucketOf(fp x) const noexcept;
-  [[nodiscard]] static std::size_t slotOf(std::int64_t bucket) noexcept;
+  [[nodiscard]] std::size_t slotOf(std::int64_t bucket) const noexcept;
   void insert(std::int64_t bucket, fp x);
+  /// Resizes the heads to `count` (a power of two) and relinks every entry.
+  void rehash(std::size_t count);
+  void seed();
 
   fp tol_;
   fp bucketWidth_;

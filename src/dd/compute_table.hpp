@@ -4,13 +4,18 @@
 // bounds memory and needs no eviction policy. Flushed on garbage collection
 // because results may reference reclaimed nodes. A flush is O(1): every slot
 // carries the generation it was written in, and flush() starts a new one, so
-// older slots stop matching. The 64-bit tag never wraps. The slot array is
-// allocated on first insert, so a table that is never used costs nothing.
+// older slots stop matching. The 64-bit tag never wraps.
+//
+// The slot array grows with use, so a job that does few operations pays for
+// few slots: it is allocated at kMinSlots on first insert and doubles once
+// the inserts since the last growth exceed the slot count, up to kMaxSlots.
+// Growing rehashes the live entries and drops the flushed ones.
 //
 // lookup() copies the result out instead of returning a pointer into the
 // slot: callers hold the result across recursive calls, and any insert()
 // hashing to the same slot would overwrite it underneath them.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -19,15 +24,16 @@
 
 namespace fdd::dd {
 
-template <typename KeyT, typename ResultT, std::size_t BitsV = 14>
+template <typename KeyT, typename ResultT, std::size_t MaxBitsV = 14>
 class ComputeTable {
  public:
-  static constexpr std::size_t kSlots = std::size_t{1} << BitsV;
+  static constexpr std::size_t kMaxSlots = std::size_t{1} << MaxBitsV;
+  static constexpr std::size_t kMinSlots = std::min<std::size_t>(64, kMaxSlots);
 
   /// Copies the cached result for `key` into `out`; returns false on miss.
   [[nodiscard]] bool lookup(const KeyT& key, ResultT& out) noexcept {
     if (!slots_.empty()) {
-      const Slot& s = slots_[key.hash() & (kSlots - 1)];
+      const Slot& s = slots_[key.hash() & (slots_.size() - 1)];
       if (s.generation == generation_ && s.key == key) {
         ++hits_;
         out = s.result;
@@ -39,16 +45,18 @@ class ComputeTable {
   }
 
   void insert(const KeyT& key, const ResultT& result) {
-    if (slots_.empty()) {
-      slots_.resize(kSlots);
+    if (insertsSinceGrowth_ >= slots_.size() && slots_.size() < kMaxSlots) {
+      grow();
     }
-    slots_[key.hash() & (kSlots - 1)] = Slot{key, result, generation_};
+    ++insertsSinceGrowth_;
+    slots_[key.hash() & (slots_.size() - 1)] = Slot{key, result, generation_};
   }
 
   void flush() noexcept { ++generation_; }
 
   [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
+  [[nodiscard]] std::size_t slotCount() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t memoryBytes() const noexcept {
     return slots_.size() * sizeof(Slot);
   }
@@ -59,8 +67,21 @@ class ComputeTable {
     ResultT result{};
     std::uint64_t generation = 0;  // live iff equal to the table's
   };
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? kMinSlots : 2 * old.size(), Slot{});
+    for (const Slot& s : old) {
+      if (s.generation == generation_) {
+        slots_[s.key.hash() & (slots_.size() - 1)] = s;
+      }
+    }
+    insertsSinceGrowth_ = 0;
+  }
+
   std::vector<Slot> slots_;
   std::uint64_t generation_ = 1;
+  std::size_t insertsSinceGrowth_ = 0;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

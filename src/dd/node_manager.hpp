@@ -18,11 +18,14 @@ namespace fdd::dd {
 
 /// Chunked arena with a free list. Nodes are recycled by the garbage
 /// collector; chunks are only released when the pool is destroyed, so node
-/// pointers stay stable for the Package's lifetime.
+/// pointers stay stable for the Package's lifetime. Chunks grow with the
+/// pool: the first holds kMinChunkSize nodes and each next one twice as many,
+/// up to kMaxChunkSize, so a small DD only initializes a few small chunks.
 template <typename NodeT>
 class NodePool {
  public:
-  static constexpr std::size_t kChunkSize = 4096;
+  static constexpr std::size_t kMinChunkSize = 64;
+  static constexpr std::size_t kMaxChunkSize = 4096;
 
   NodeT* allocate() {
     ++liveCount_;
@@ -31,8 +34,11 @@ class NodePool {
       free_ = node->next;
       return node;
     }
-    if (chunkPos_ == kChunkSize) {
-      chunks_.push_back(std::make_unique<NodeT[]>(kChunkSize));
+    if (chunkPos_ == chunkSize_) {
+      chunkSize_ = chunks_.empty() ? kMinChunkSize
+                                   : std::min(2 * chunkSize_, kMaxChunkSize);
+      chunks_.push_back(std::make_unique<NodeT[]>(chunkSize_));
+      capacity_ += chunkSize_;
       chunkPos_ = 0;
     }
     return &chunks_.back()[chunkPos_++];
@@ -47,12 +53,14 @@ class NodePool {
 
   [[nodiscard]] std::size_t liveCount() const noexcept { return liveCount_; }
   [[nodiscard]] std::size_t allocatedBytes() const noexcept {
-    return chunks_.size() * kChunkSize * sizeof(NodeT);
+    return capacity_ * sizeof(NodeT);
   }
 
  private:
   std::vector<std::unique_ptr<NodeT[]>> chunks_;
-  std::size_t chunkPos_ = kChunkSize;
+  std::size_t chunkSize_ = 0;  // nodes in the newest chunk
+  std::size_t chunkPos_ = 0;   // nodes handed out from the newest chunk
+  std::size_t capacity_ = 0;   // nodes over all chunks
   NodeT* free_ = nullptr;
   std::size_t liveCount_ = 0;
 };

@@ -2,6 +2,8 @@
 // step), and matrix-matrix multiplication (DDMM, used by gate fusion).
 // All three are memoized in compute tables; multiplication factors operand
 // weights out of the cache key so one cached entry serves every scaled pair.
+// Addition keys keep their weights, so two edges onto one node are summed
+// directly instead: recursing would make a fresh key on every level.
 
 #include <cassert>
 
@@ -12,11 +14,11 @@ namespace fdd::dd {
 namespace {
 
 /// Commutative operand ordering so add(a, b) and add(b, a) share a slot.
+/// Only reached for distinct nodes (equal nodes take the same-node rule).
 template <typename NodeT>
 void orderOperands(Edge<NodeT>& a, Edge<NodeT>& b) noexcept {
-  const auto pa = reinterpret_cast<std::uintptr_t>(a.n);
-  const auto pb = reinterpret_cast<std::uintptr_t>(b.n);
-  if (pb < pa || (pa == pb && weightHash(b.w) < weightHash(a.w))) {
+  if (reinterpret_cast<std::uintptr_t>(b.n) <
+      reinterpret_cast<std::uintptr_t>(a.n)) {
     std::swap(a, b);
   }
 }
@@ -59,9 +61,11 @@ vEdge Package::addRec(const vEdge& a0, const vEdge& b0, Qubit level) {
   if (b0.isZero()) {
     return a0;
   }
-  if (level < 0) {
+  if (a0.n == b0.n) {
+    // w_a * N + w_b * N = (w_a + w_b) * N, exactly: no recursion, and no
+    // per-level rounding that would split N's sub-DD into near-copies.
     const Complex sum = ctable_.lookup(a0.w + b0.w);
-    return sum == Complex{} ? vEdge::zero() : vEdge{vNode::terminal(), sum};
+    return sum == Complex{} ? vEdge::zero() : vEdge{a0.n, sum};
   }
   vEdge a = a0;
   vEdge b = b0;
@@ -88,9 +92,11 @@ mEdge Package::addRec(const mEdge& a0, const mEdge& b0, Qubit level) {
   if (b0.isZero()) {
     return a0;
   }
-  if (level < 0) {
+  if (a0.n == b0.n) {
+    // w_a * N + w_b * N = (w_a + w_b) * N, exactly: no recursion, and no
+    // per-level rounding that would split N's sub-DD into near-copies.
     const Complex sum = ctable_.lookup(a0.w + b0.w);
-    return sum == Complex{} ? mEdge::zero() : mEdge{mNode::terminal(), sum};
+    return sum == Complex{} ? mEdge::zero() : mEdge{a0.n, sum};
   }
   mEdge a = a0;
   mEdge b = b0;

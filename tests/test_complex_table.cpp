@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "common/prng.hpp"
 #include "dd/complex_table.hpp"
 
@@ -57,6 +64,62 @@ TEST(RealTable, SeededConstantsAreRepresentatives) {
   EXPECT_EQ(t.lookup(SQRT2_INV + 1e-13), SQRT2_INV);
   EXPECT_EQ(t.lookup(1.0 - 1e-13), 1.0);
   EXPECT_EQ(t.lookup(-0.5 + 1e-13), -0.5);
+}
+
+TEST(RealTable, HeadsGrowWithoutChangingAnyRepresentative) {
+  // Every query is recorded with the representative it got. The heads then
+  // double several times, and every recorded query must still get the
+  // bit-identical value. Each round asks three kinds of query in a fresh
+  // region: a random value; two values on either side of a bucket boundary
+  // (the second merges into the first); and a value within tolerance of two
+  // representatives of one bucket, which gets the newer one, so a resize
+  // that reversed the chain order would hand back the older.
+  const fp tol = 1e-10;
+  const fp width = 4 * tol;
+  RealTable t{tol};
+  EXPECT_EQ(t.headCount(), RealTable::kMinHeads);
+  std::vector<std::pair<fp, fp>> seen;  // (query, representative)
+  const auto query = [&](fp x) {
+    const fp r = t.lookup(x);
+    seen.emplace_back(x, r);
+    return r;
+  };
+  const auto expectUnchanged = [&] {
+    for (const auto& [x, r] : seen) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(t.lookup(x)),
+                std::bit_cast<std::uint64_t>(r))
+          << "query " << x << " after growing to " << t.headCount();
+    }
+  };
+  Xoshiro256 rng{2024};
+  std::size_t heads = t.headCount();
+  int doublings = 0;
+  for (int round = 0; round < 4000; ++round) {
+    (void)query(rng.uniform(-1, 1));
+    const fp boundary = std::floor(rng.uniform(-1, 1) / width) * width;
+    const fp below = query(boundary - tol / 4);
+    EXPECT_EQ(query(boundary + tol / 4), below);
+    const fp bucket = std::floor(rng.uniform(-1, 1) / width) * width;
+    (void)query(bucket + tol / 2);
+    const fp newer = query(bucket + 2 * tol);
+    EXPECT_EQ(query(bucket + 1.25 * tol), newer);
+    EXPECT_LE(t.headCount(), std::max(RealTable::kMinHeads, 2 * t.size()));
+    if (t.headCount() != heads) {
+      EXPECT_EQ(t.headCount(), 2 * heads);
+      heads = t.headCount();
+      ++doublings;
+      expectUnchanged();
+    }
+  }
+  EXPECT_GE(doublings, 6);
+  expectUnchanged();
+
+  // The GC rebuild empties the table: the heads go back to the minimum and
+  // only the seeded constants remain.
+  t.clear();
+  EXPECT_EQ(t.headCount(), RealTable::kMinHeads);
+  EXPECT_EQ(t.lookup(SQRT2_INV + 1e-13), SQRT2_INV);
+  EXPECT_LT(t.size(), RealTable::kMinHeads);
 }
 
 TEST(ComplexTable, ComponentsCanonicalizedIndependently) {

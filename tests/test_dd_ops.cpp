@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <ostream>
+#include <vector>
 
 #include "dd/package.hpp"
 #include "helpers.hpp"
@@ -165,6 +167,71 @@ TEST(DDOps, AddOppositeVectorsGivesZero) {
   const vEdge b = p.fromArray(v);
   const vEdge r = p.add(a, b, n - 1);
   EXPECT_TRUE(r.isZero());
+}
+
+TEST(DDOps, RotationsOfAProductStateKeepItNNodes) {
+  // RY on every qubit of |0...0> leaves a product state: one node per level,
+  // whose two children are the same node below. Multiplying a rotation into
+  // it adds u00 * psi + u01 * psi over that one shared sub-DD. Summing the
+  // weights directly keeps the state at n nodes and the multiply linear.
+  // Recursing through the weighted add keys made two fresh keys per level,
+  // 2^level calls, and rebuilt the nodes from rounded weights: this test
+  // then ran for 77 s and ended at 161,298 nodes.
+  constexpr Qubit n = 20;
+  Package p{n};
+  vEdge s = p.makeZeroState();
+  std::vector<fp> angles(n, 0.0);  // RY angles compose additively per qubit
+  const auto rotate = [&](Qubit q, fp theta) {
+    const mEdge g = p.makeGateDD(qc::gateMatrix(qc::GateKind::RY, {theta}), q);
+    s = p.multiply(g, s);
+    angles[static_cast<std::size_t>(q)] += theta;
+  };
+  for (Qubit q = 0; q < n; ++q) {
+    rotate(q, 0.3 + 0.1 * q);
+    ASSERT_EQ(p.nodeCount(s), static_cast<std::size_t>(n)) << "after q" << q;
+  }
+  const PackageStats before = p.stats();
+  rotate(n - 1, 0.77);
+  const PackageStats after = p.stats();
+  EXPECT_EQ(p.nodeCount(s), static_cast<std::size_t>(n));
+  const std::size_t lookups = after.computeHits + after.computeMisses -
+                              before.computeHits - before.computeMisses;
+  EXPECT_LE(lookups, 4 * static_cast<std::size_t>(n));
+  EXPECT_TRUE(p.checkCanonical());
+
+  // Amplitudes are products of per-qubit cos / sin of the half angles.
+  const auto expected = [&](Index bits) {
+    fp a = 1;
+    for (Qubit q = 0; q < n; ++q) {
+      const fp half = angles[static_cast<std::size_t>(q)] / 2;
+      a *= ((bits >> q) & 1U) != 0 ? std::sin(half) : std::cos(half);
+    }
+    return a;
+  };
+  for (const Index bits : {Index{0}, Index{1} << (n - 1), Index{0xabcde},
+                           (Index{1} << n) - 1}) {
+    EXPECT_NEAR(std::abs(p.getAmplitude(s, bits) - Complex{expected(bits)}),
+                0.0, 1e-12)
+        << "basis state " << bits;
+  }
+}
+
+TEST(DDOps, AddOnOneNodeSumsTheWeights) {
+  constexpr Qubit n = 4;
+  Package p{n};
+  const mEdge h = p.makeGateDD(qc::gateMatrix(qc::GateKind::H, {}), 2);
+  const mEdge scaled{h.n, p.canonical(Complex(0.25, -0.5))};
+  const mEdge sum = p.add(h, scaled, n - 1);
+  EXPECT_EQ(sum.n, h.n);
+  EXPECT_EQ(sum.w, p.canonical(h.w + scaled.w));
+  const mEdge negated{h.n, p.canonical(-h.w)};
+  EXPECT_TRUE(p.add(h, negated, n - 1).isZero());
+
+  const vEdge v = p.makeBasisState(5);
+  const vEdge twice = p.add(v, v, n - 1);
+  EXPECT_EQ(twice.n, v.n);
+  EXPECT_EQ(twice.w, p.canonical(v.w + v.w));
+  EXPECT_TRUE(p.checkCanonical());
 }
 
 TEST(DDOps, MatrixMatrixMatchesComposition) {

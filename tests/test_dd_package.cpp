@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "circuits/generators.hpp"
@@ -358,6 +359,16 @@ TEST(Package, ConstructionDoesNotPreallocateTables) {
   EXPECT_LT(Package{30}.stats().memoryBytes, std::size_t{1} << 20);
 }
 
+TEST(Package, SmallRunHoldsSmallTables) {
+  // Node chunks, compute-table slots and complex-table heads all grow with
+  // what they hold. A GHZ-16 run (167 peak nodes) ends at 65,472 bytes; with
+  // 4096-node chunks, 2^14-slot compute tables and 2^15 complex-table heads
+  // allocated up front it held 1,688,768.
+  sim::DDSimulator sim{16};
+  sim.simulate(circuits::ghz(16));
+  EXPECT_LT(sim.package().stats().memoryBytes, std::size_t{128} << 10);
+}
+
 TEST(ComputeTable, LookupNeverReturnsAnotherKeysResult) {
   // A 256-slot table holding 4096 keys: most inserts evict a colliding key.
   // Keys and results encode the same integer, so a lookup that served
@@ -427,6 +438,66 @@ TEST(ComputeTable, NoEntryHitsAfterAFlush) {
     ASSERT_TRUE(table.lookup(keyOf(fresh), out));
     ASSERT_EQ(out, resultOf(fresh, -round));
   }
+}
+
+TEST(ComputeTable, GrowsWithItsInsertsUpToTheCapAndServesOnlyLiveEntries) {
+  // 5,000 keys through a table capped at 2^14 slots, with a flush every
+  // 3,001 steps, so most growths find flushed entries to drop. A reference
+  // map holds the last result inserted for each key since the last flush:
+  // every hit must return exactly that, across each growth (which rehashes
+  // live entries) and each flush.
+  using Key = MulKey<mNode, vNode>;
+  using Table = ComputeTable<Key, vEdge>;
+  static_assert(Table::kMaxSlots == std::size_t{1} << 14);
+  Table table;
+  const auto keyOf = [](std::uintptr_t id) {
+    return Key{reinterpret_cast<const mNode*>(id << 4),
+               reinterpret_cast<const vNode*>(id << 8)};
+  };
+  const auto resultOf = [](std::uintptr_t id, int step) {
+    return vEdge{reinterpret_cast<vNode*>(id << 12),
+                 Complex(static_cast<fp>(id), static_cast<fp>(step))};
+  };
+  std::unordered_map<std::uintptr_t, vEdge> live;
+  std::vector<std::size_t> sizes{table.slotCount()};
+  Xoshiro256 rng{4242};
+  std::size_t inserts = 0;
+  std::size_t served = 0;
+  for (int step = 0; step < 400'000; ++step) {
+    if (step % 3'001 == 3'000) {
+      table.flush();
+      live.clear();
+    }
+    const std::uintptr_t id = (rng() % 5'000) + 1;
+    if ((rng() & 1U) != 0) {
+      table.insert(keyOf(id), resultOf(id, step));
+      live[id] = resultOf(id, step);
+      ++inserts;
+    } else if (vEdge out; table.lookup(keyOf(id), out)) {
+      const auto it = live.find(id);
+      ASSERT_NE(it, live.end()) << "stale hit at step " << step;
+      ASSERT_EQ(out, it->second) << "wrong hit at step " << step;
+      ++served;
+    }
+    if (table.slotCount() != sizes.back()) {
+      sizes.push_back(table.slotCount());
+      // Doubles once the inserts since the last growth exceed its slots.
+      ASSERT_LE(inserts, 2 * table.slotCount()) << "grew late";
+      if (table.slotCount() > Table::kMinSlots) {
+        ASSERT_GE(2 * inserts, table.slotCount()) << "grew early";
+      }
+    }
+    ASSERT_LE(table.slotCount(), Table::kMaxSlots);
+  }
+  EXPECT_GT(served, 10'000u);
+  // 0, then kMinSlots, then one doubling per step up to the cap.
+  ASSERT_GE(sizes.size(), 3u);
+  EXPECT_EQ(sizes[0], 0u);
+  EXPECT_EQ(sizes[1], Table::kMinSlots);
+  for (std::size_t i = 2; i < sizes.size(); ++i) {
+    EXPECT_EQ(sizes[i], 2 * sizes[i - 1]);
+  }
+  EXPECT_EQ(sizes.back(), Table::kMaxSlots);
 }
 
 TEST(ComputeTable, UnusedTableHoldsNoSlots) {
