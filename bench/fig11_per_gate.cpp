@@ -173,6 +173,7 @@ void runPlanCompilerCase() {
   w.kv("diagRuns", with.diagRuns);
   w.kv("diagRunGates", with.diagRunGates);
   w.kv("denseBlockGates", with.denseBlockGates);
+  w.kv("inPlaceGates", with.inPlaceGates);
   w.endObject();
   w.key("planNoFuse").beginObject();
   w.kv("dmavGates", noFuse.dmavGates);

@@ -212,6 +212,7 @@ class FlatDDBackend final : public Backend {
     report.diagRuns = st.diagRuns;
     report.diagRunGates = st.diagRunGates;
     report.denseBlockGates = st.denseBlockGates;
+    report.inPlaceGates = st.inPlaceGates;
     report.planCompileSeconds = st.planCompileSeconds;
     report.dmavReplaySeconds = st.dmavReplaySeconds;
     report.peakDDSize = st.peakDDSize;

@@ -265,6 +265,7 @@ std::string RunReport::toJson() const {
   w.field("diagRuns", diagRuns);
   w.field("diagRunGates", diagRunGates);
   w.field("denseBlockGates", denseBlockGates);
+  w.field("inPlaceGates", inPlaceGates);
   w.field("peakDDSize", peakDDSize);
   w.field("dmavModelCost", dmavModelCost);
   w.field("reorderCount", reorderCount);
@@ -378,6 +379,7 @@ RunReport RunReport::fromJson(std::string_view text) {
       get(*c, "diagRuns", r.diagRuns);
       get(*c, "diagRunGates", r.diagRunGates);
       get(*c, "denseBlockGates", r.denseBlockGates);
+      get(*c, "inPlaceGates", r.inPlaceGates);
       get(*c, "peakDDSize", r.peakDDSize);
       get(*c, "dmavModelCost", r.dmavModelCost);
       get(*c, "reorderCount", r.reorderCount);
@@ -492,6 +494,7 @@ std::string RunReport::toCsv() const {
   row("diag_runs", std::to_string(diagRuns));
   row("diag_run_gates", std::to_string(diagRunGates));
   row("dense_block_gates", std::to_string(denseBlockGates));
+  row("in_place_gates", std::to_string(inPlaceGates));
   row("peak_dd_size", std::to_string(peakDDSize));
   row("dmav_model_cost", numberToString(dmavModelCost));
   row("reorder_count", std::to_string(reorderCount));

@@ -148,6 +148,7 @@ struct RunReport {
   std::size_t diagRuns = 0;           // fused diagonal-gate runs executed
   std::size_t diagRunGates = 0;       // gates collapsed into those runs
   std::size_t denseBlockGates = 0;    // DMAVs via the DenseBlock lowering
+  std::size_t inPlaceGates = 0;       // DMAVs replayed in place (one target)
   std::size_t peakDDSize = 0;         // peak state-DD node count
   double dmavModelCost = 0;           // summed Eq. 5/6 MAC estimate
 

@@ -13,6 +13,7 @@
 #include "dd/package.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/array_simulator.hpp"
 #include "simd/kernels.hpp"
 
 namespace fdd::flat {
@@ -578,7 +579,175 @@ void compileDense(const DenseGateInfo& info, DmavPlan& plan) {
   }
 }
 
+// ---- single-target lowering ----------------------------------------------
+
+/// Relative tolerance of singleTargetProbe's weight checks. Recognized
+/// weights are path products of the DD's own canonical weights, so only the
+/// identity blocks' weights are compared to an outside value (1).
+constexpr fp kSingleTargetTolerance = 1e-12;
+
+bool nearlyEqual(Complex a, Complex b) noexcept {
+  return std::abs(a - b) <= kSingleTargetTolerance * std::max(1.0, std::abs(b));
+}
+
+/// Checks a gate DD, node by node, against a candidate single-target gate
+/// (target t, controls, u). `f` is the weight product above an edge,
+/// excluding the edge's own weight.
+struct SingleTargetCheck {
+  Qubit t;
+  Index controls;
+  const std::array<Complex, 4>& u;
+
+  [[nodiscard]] bool isControl(Qubit level) const noexcept {
+    return (controls >> level & 1u) != 0;
+  }
+
+  /// `e` is the identity on levels [0, level] (weight 1 in total).
+  [[nodiscard]] static bool identity(const dd::mEdge& e, Qubit level,
+                                     Complex f) noexcept {
+    if (e.isZero() || !nearlyEqual(f * e.w, Complex{1.0})) {
+      return false;
+    }
+    return level < 0 ? e.isTerminal()
+                     : !e.isTerminal() && e.n->v == level && e.n->ident;
+  }
+
+  /// `e` (node at `level` >= t) is the gate on levels [0, level], every
+  /// control above `level` read as 1.
+  [[nodiscard]] bool gate(const dd::mEdge& e, Qubit level, Complex f) const {
+    if (e.isZero() || e.isTerminal() || e.n->v != level) {
+      return false;
+    }
+    const Complex fw = f * e.w;
+    const dd::mNode* n = e.n;
+    if (level == t) {
+      for (unsigned k = 0; k < 4; ++k) {
+        if (!block(n->e[k], level - 1, fw, k)) {
+          return false;
+        }
+      }
+      return true;
+    }
+    if (!n->e[1].isZero() || !n->e[2].isZero()) {
+      return false;
+    }
+    if (isControl(level)) {
+      return identity(n->e[0], level - 1, fw) && gate(n->e[3], level - 1, fw);
+    }
+    return n->e[0] == n->e[3] && gate(n->e[0], level - 1, fw);
+  }
+
+  /// `e` (node at `level` < t) is entry k of u on levels [0, level] where
+  /// every control is 1, and entry k of the identity elsewhere.
+  [[nodiscard]] bool block(const dd::mEdge& e, Qubit level, Complex f,
+                           unsigned k) const {
+    const bool onDiagonal = k == 0 || k == 3;
+    if (e.isZero()) {
+      // Zero only where u[k] is, and on the diagonal only if no control
+      // below could read 0 (the identity's ones).
+      const Index below = level < 0 ? 0 : (Index{2} << level) - 1;
+      return nearlyEqual(u[k], Complex{}) &&
+             (!onDiagonal || (controls & below) == 0);
+    }
+    const Complex fw = f * e.w;
+    if (level < 0) {
+      return e.isTerminal() && nearlyEqual(fw, u[k]);
+    }
+    if (e.isTerminal() || e.n->v != level) {
+      return false;
+    }
+    const dd::mNode* n = e.n;
+    if (!n->e[1].isZero() || !n->e[2].isZero()) {
+      return false;
+    }
+    if (isControl(level)) {
+      const bool off = onDiagonal ? identity(n->e[0], level - 1, fw)
+                                  : n->e[0].isZero();
+      return off && block(n->e[3], level - 1, fw, k);
+    }
+    return n->e[0] == n->e[3] && block(n->e[0], level - 1, fw, k);
+  }
+};
+
 }  // namespace
+
+std::optional<SingleTargetGate> singleTargetProbe(const dd::mEdge& m,
+                                                  Qubit nQubits) {
+  if (nQubits < 1 || m.isZero() || m.isTerminal() ||
+      m.n->v != nQubits - 1) {
+    return std::nullopt;
+  }
+  // Levels with a non-passive node are the target and the controls; the
+  // target is the one level with off-diagonal blocks, when u has any.
+  std::vector<char> active(static_cast<std::size_t>(nQubits), 0);
+  Qubit offDiagonal = -1;
+  std::unordered_set<const dd::mNode*> seen{m.n};
+  std::vector<const dd::mNode*> stack{m.n};
+  while (!stack.empty()) {
+    const dd::mNode* n = stack.back();
+    stack.pop_back();
+    if (n->ident) {
+      continue;
+    }
+    if (!n->e[1].isZero() || !n->e[2].isZero()) {
+      if (offDiagonal >= 0 && offDiagonal != n->v) {
+        return std::nullopt;  // two levels mix amplitudes: not one target
+      }
+      offDiagonal = n->v;
+    }
+    if (!isPassive(n)) {
+      active[static_cast<std::size_t>(n->v)] = 1;
+    }
+    for (const dd::mEdge& e : n->e) {
+      if (!e.isTerminal() && seen.insert(e.n).second) {
+        stack.push_back(e.n);
+      }
+    }
+  }
+
+  // A diagonal u leaves the target ambiguous between the active levels
+  // (CP is symmetric, CRZ is not): try each, highest first.
+  std::vector<Qubit> targets;
+  if (offDiagonal >= 0) {
+    targets.push_back(offDiagonal);
+  } else {
+    for (Qubit l = nQubits - 1; l >= 0; --l) {
+      if (active[static_cast<std::size_t>(l)] != 0) {
+        targets.push_back(l);
+      }
+    }
+    if (targets.empty()) {
+      targets.push_back(0);  // a scalar times the identity
+    }
+  }
+  for (const Qubit t : targets) {
+    SingleTargetGate gate;
+    gate.target = t;
+    for (Qubit l = 0; l < nQubits; ++l) {
+      if (l != t && active[static_cast<std::size_t>(l)] != 0) {
+        gate.controlMask |= Index{1} << l;
+      }
+    }
+    // u[k] is the weight product down the path that reads every control
+    // as 1, takes block k at the target and e[0] at passive levels.
+    for (unsigned k = 0; k < 4; ++k) {
+      Complex f = m.w;
+      dd::mEdge e = m;
+      for (Qubit l = nQubits - 1; l >= 0 && !e.isZero(); --l) {
+        const unsigned child =
+            l == t ? k : ((gate.controlMask >> l & 1u) != 0 ? 3u : 0u);
+        e = e.n->e[child];
+        f *= e.w;
+      }
+      gate.u[k] = e.isZero() ? Complex{} : f;
+    }
+    const SingleTargetCheck check{t, gate.controlMask, gate.u};
+    if (check.gate(m, nQubits - 1, Complex{1.0})) {
+      return gate;
+    }
+  }
+  return std::nullopt;
+}
 
 std::size_t DmavPlan::opCount() const noexcept {
   std::size_t count = 0;
@@ -674,6 +843,24 @@ DmavPlan compileDmavPlan(const dd::mEdge& m, Qubit nQubits, unsigned threads,
   } else {
     compileCached(m, plan);
   }
+  plan.compileSeconds = clock.seconds();
+  return plan;
+}
+
+DmavPlan compileGatePlan(const dd::mEdge& m, Qubit nQubits, unsigned threads,
+                         PlanMode mode, const dd::Package* pkg,
+                         const std::optional<DenseGateInfo>* dense) {
+  Stopwatch clock;
+  std::optional<SingleTargetGate> gate;
+  if (mode == PlanMode::Row) {
+    gate = singleTargetProbe(m, nQubits);
+  }
+  if (!gate) {
+    return compileDmavPlan(m, nQubits, threads, mode, pkg, dense);
+  }
+  FDD_TIMED_SCOPE("plan.compile");
+  DmavPlan plan = emptyPlan(m, nQubits, threads, mode, pkg);
+  plan.single = *gate;
   plan.compileSeconds = clock.seconds();
   return plan;
 }
@@ -880,6 +1067,27 @@ inline void executeOp(const SpanOp& op, const Complex* v, Complex* w,
   }
 }
 
+/// Runs a row-mode plan's blocks, each on its pool thread: W = M * V, or
+/// V = M * V when w == v and the plan replaysInPlace().
+void replayBlocks(const DmavPlan& plan, const Complex* v, Complex* w) {
+  par::globalPool().run(plan.threads, [&](unsigned i) {
+    for (const std::uint32_t id : plan.blocksOf[i]) {
+      const PlanBlock& block = plan.blocks[id];
+      for (const ZeroSpan& z : block.zeroSpans) {
+        simd::zeroFill(w + z.begin, z.len);
+      }
+      for (const SpanOp& op : block.ops) {
+        executeOp(op, v, w, plan.diag.data());
+      }
+    }
+  });
+}
+
+void applySingleTarget(const DmavPlan& plan, std::span<Complex> v) {
+  const SingleTargetGate& g = *plan.single;
+  sim::applyControlledPairs(v, g.u, g.target, g.controlMask, plan.threads);
+}
+
 }  // namespace
 
 void replayPlan(const DmavPlan& plan, std::span<const Complex> v,
@@ -892,6 +1100,15 @@ void replayPlan(const DmavPlan& plan, std::span<const Complex> v,
   }
   FDD_TIMED_SCOPE("dmav.replay");
   obs::PoolPhaseScope poolPhase{"dmav.replay"};
+  if (plan.single) {
+    // W = V, then the pair kernel on W.
+    par::globalPool().parallelFor(
+        plan.threads, 0, plan.dim, [&](std::size_t lo, std::size_t hi) {
+          std::copy(v.begin() + lo, v.begin() + hi, w.begin() + lo);
+        });
+    applySingleTarget(plan, w);
+    return;
+  }
   auto& pool = par::globalPool();
   if (plan.denseK != 0) {
     // Dense-block plan: one pass over memory, kDenseTileAmps amplitudes per
@@ -922,20 +1139,24 @@ void replayPlan(const DmavPlan& plan, std::span<const Complex> v,
     });
     return;
   }
-  pool.run(plan.threads, [&](unsigned i) {
-    const Complex* vp = v.data();
-    Complex* wp = w.data();
-    const Complex* diag = plan.diag.data();
-    for (const std::uint32_t id : plan.blocksOf[i]) {
-      const PlanBlock& block = plan.blocks[id];
-      for (const ZeroSpan& z : block.zeroSpans) {
-        simd::zeroFill(wp + z.begin, z.len);
-      }
-      for (const SpanOp& op : block.ops) {
-        executeOp(op, vp, wp, diag);
-      }
-    }
-  });
+  replayBlocks(plan, v.data(), w.data());
+}
+
+void replayPlanInPlace(const DmavPlan& plan, std::span<Complex> v) {
+  if (v.size() != plan.dim) {
+    throw std::invalid_argument("replayPlanInPlace: vector size mismatch");
+  }
+  if (!plan.replaysInPlace()) {
+    throw std::invalid_argument(
+        "replayPlanInPlace: plan is neither single-target nor DiagRun");
+  }
+  FDD_TIMED_SCOPE("dmav.replay");
+  obs::PoolPhaseScope poolPhase{"dmav.replay"};
+  if (plan.single) {
+    applySingleTarget(plan, v);
+  } else {
+    replayBlocks(plan, v.data(), v.data());
+  }
 }
 
 DmavCacheStats replayPlanCached(const DmavPlan& plan,

@@ -38,6 +38,18 @@
 //                                         become one memory sweep instead of
 //                                         k DiagScale passes.
 //
+// Single-target gates take a second shape, chosen by compileGatePlan (the
+// plan cache's compile step) in row mode: when singleTargetProbe recognizes
+// the DD as a 2x2 `u` on one target qubit under zero or more positive
+// controls — the shape of every unfused qc::Operation — the plan holds no
+// ops at all, only plan.single = (target, control mask, u). Replay applies
+// it in place on V through sim::applyControlledPairs, the array baseline's
+// pair kernel: one sweep over the valid pairs, untouched amplitudes not
+// even read, and no W. replayPlanInPlace runs these plans and DiagRun plans
+// (a pointwise product may write its input); the flat phase then needs a
+// second 2^n buffer only for the span, cached and dense lowerings, which
+// stay the paper's W = M * V.
+//
 // Multi-qubit dense gates take a third shape: when denseBlockProbe
 // recognizes the gate as a 2-3 qubit dense matrix acting on high qubits
 // (every other level passive), the plan compiles to DenseBlock tiles instead
@@ -158,6 +170,16 @@ struct DenseGateInfo {
   std::array<Complex, 64> u{};    // 2^k x 2^k row-major
 };
 
+/// A gate recognized by singleTargetProbe: the matrix applies the 2x2 `u`
+/// (row-major, as qc::Matrix2) to qubit `target` wherever every bit of
+/// `controlMask` is 1, and is the identity elsewhere. All scalar weight is
+/// folded into `u`.
+struct SingleTargetGate {
+  Qubit target = 0;
+  Index controlMask = 0;
+  std::array<Complex, 4> u{};
+};
+
 /// One thread's compiled program in cached (column-space) mode.
 struct ColumnProgram {
   unsigned buffer = 0;  // workspace buffer this thread writes
@@ -188,7 +210,7 @@ struct DmavPlan {
   /// dd::Package::orderingEpoch() at compile time. A dynamic level reorder
   /// (arXiv:2211.07110) relabels what each DD level means, so a plan from an
   /// earlier epoch addresses the wrong amplitudes even if its pinned root
-  /// survived — validFor() rejects it and the cache recompiles.
+  /// survived: validFor() rejects it, and PlanCache recompiles it on a hit.
   std::uint64_t orderingEpoch = 0;
 
   Index dim = 0;
@@ -206,6 +228,9 @@ struct DmavPlan {
   /// Combined per-index phases of a fused diagonal run; DiagRun ops multiply
   /// the state pointwise against this table.
   AlignedVector<Complex> diag;
+
+  // ---- in-place mode (replaces blocks/blocksOf) -------------------------
+  std::optional<SingleTargetGate> single;
 
   // ---- dense-block mode (denseK != 0; replaces blocks/blocksOf) ---------
   unsigned denseK = 0;              // active qubits (2 or 3); 0 = not dense
@@ -231,6 +256,10 @@ struct DmavPlan {
   /// permutation gate): replay then performs no zero-fill at all.
   [[nodiscard]] bool fullyExclusive() const noexcept;
   [[nodiscard]] std::size_t memoryBytes() const noexcept;
+  /// True for plans replayPlanInPlace accepts: single-target and DiagRun.
+  [[nodiscard]] bool replaysInPlace() const noexcept {
+    return single.has_value() || !diag.empty();
+  }
   /// False once the owning package recycled matrix nodes after compilation
   /// (see `generation`). PlanCache-pinned plans stay valid regardless.
   [[nodiscard]] bool validFor(const dd::Package& pkg) const noexcept;
@@ -263,6 +292,23 @@ inline constexpr std::size_t kMaxDiagRunGates = 64;
     const dd::Package* pkg = nullptr,
     const std::optional<DenseGateInfo>* dense = nullptr);
 
+/// Recognizes `m` as a single-target gate: one target level carrying a 2x2
+/// `u`, control levels whose control-0 block is the identity (controls
+/// above and below the target alike), and passive levels everywhere else.
+/// Diagonal and permutation `u` qualify. Every node of the DD is checked
+/// against the recognized gate (weights to 1e-12 relative), so a match is
+/// the same matrix, not a guess.
+[[nodiscard]] std::optional<SingleTargetGate> singleTargetProbe(
+    const dd::mEdge& m, Qubit nQubits);
+
+/// The plan cache's compile step: in row mode a gate singleTargetProbe
+/// recognizes compiles to an in-place plan (plan.single); every other gate
+/// goes to compileDmavPlan unchanged.
+[[nodiscard]] DmavPlan compileGatePlan(
+    const dd::mEdge& m, Qubit nQubits, unsigned threads, PlanMode mode,
+    const dd::Package* pkg = nullptr,
+    const std::optional<DenseGateInfo>* dense = nullptr);
+
 /// True when the gate DD is diagonal: every node's off-diagonal children
 /// (e[1], e[2]) are zero. Such gates commute pointwise, so consecutive
 /// diagonal gates fuse into one DiagRun sweep (compileDiagRunPlan).
@@ -287,9 +333,12 @@ inline constexpr std::size_t kMaxDiagRunGates = 64;
                                           const dd::Package* pkg = nullptr);
 
 /// Replays a row-mode plan: W = M * V. V and W must have size 2^n and must
-/// not alias.
+/// not alias. A single-target plan copies V into W and applies itself there.
 void replayPlan(const DmavPlan& plan, std::span<const Complex> v,
                 std::span<Complex> w);
+
+/// Replays a plan with replaysInPlace(): V = M * V, with no second buffer.
+void replayPlanInPlace(const DmavPlan& plan, std::span<Complex> v);
 
 /// Replays a cached-mode plan through `workspace` partial-output buffers.
 DmavCacheStats replayPlanCached(const DmavPlan& plan,

@@ -57,7 +57,7 @@ void FlatDDSimulator::reset() {
   resetOrdering();
   flatPhase_ = false;
   v_.clear();
-  w_.clear();
+  w_ = {};  // reallocated only if an out-of-place DMAV needs it again
   planCache_.clear();
   planCache_.resetStats();
   stats_ = FlatDDStats{};
@@ -222,7 +222,6 @@ void FlatDDSimulator::convertToFlat(std::size_t gateIndex) {
                     ewma_.epsilon() * ewma_.value(), gateIndex);
   Stopwatch clock;
   v_.resize(Index{1} << nQubits_);
-  w_.resize(Index{1} << nQubits_);
   ddToArrayParallel(ddSim_.state(), nQubits_, v_, options_.threads);
   ddSim_.releaseState();  // the irregular state DD is no longer needed
   flatPhase_ = true;
@@ -250,9 +249,13 @@ void FlatDDSimulator::applyDmavDiagRun(std::span<const dd::mEdge> run) {
   stats_.dmavModelCost +=
       static_cast<fp>(dim) / static_cast<fp>(plan->threads);
   Stopwatch replayClock;
-  replayPlan(*plan, v_, w_);
+  replayPlanInPlace(*plan, v_);
   stats_.dmavReplaySeconds += replayClock.seconds();
-  std::swap(v_, w_);
+}
+
+std::span<Complex> FlatDDSimulator::scratch() {
+  w_.resize(v_.size());
+  return w_;
 }
 
 void FlatDDSimulator::applyDmav(const dd::mEdge& gate) {
@@ -294,21 +297,29 @@ void FlatDDSimulator::applyDmav(const dd::mEdge& gate) {
       ++stats_.denseBlockGates;
     }
     Stopwatch replayClock;
+    if (plan->replaysInPlace()) {
+      replayPlanInPlace(*plan, v_);
+      ++stats_.inPlaceGates;
+      stats_.dmavReplaySeconds += replayClock.seconds();
+      return;
+    }
     if (useCache) {
-      const DmavCacheStats s = replayPlanCached(*plan, v_, w_, workspace_);
+      const DmavCacheStats s =
+          replayPlanCached(*plan, v_, scratch(), workspace_);
       ++stats_.cachedGates;
       stats_.cacheHits += s.cacheHits;
     } else {
-      replayPlan(*plan, v_, w_);
+      replayPlan(*plan, v_, scratch());
     }
     stats_.dmavReplaySeconds += replayClock.seconds();
   } else if (useCache) {
-    const DmavCacheStats s =
-        dmavCachedRecursive(gate, nQubits_, v_, w_, threads, workspace_);
+    const DmavCacheStats s = dmavCachedRecursive(gate, nQubits_, v_,
+                                                 scratch(), threads,
+                                                 workspace_);
     ++stats_.cachedGates;
     stats_.cacheHits += s.cacheHits;
   } else {
-    dmavRecursive(gate, nQubits_, v_, w_, threads);
+    dmavRecursive(gate, nQubits_, v_, scratch(), threads);
   }
   std::swap(v_, w_);
 }

@@ -99,6 +99,9 @@ struct FlatDDStats {
   std::size_t diagRuns = 0;       // fused diagonal runs executed
   std::size_t diagRunGates = 0;   // gates collapsed into those runs
   std::size_t denseBlockGates = 0;  // DMAVs executed via the DenseBlock path
+  /// DMAVs replayed in place by a single-target plan (no W, no swap).
+  /// DiagRun sweeps also run in place; diagRunGates counts those.
+  std::size_t inPlaceGates = 0;
   double planCompileSeconds = 0;    // time spent lowering DDs to plans
   double dmavReplaySeconds = 0;     // time spent replaying compiled plans
   std::size_t peakDDSize = 0;
@@ -175,6 +178,8 @@ class FlatDDSimulator {
   void convertToFlat(std::size_t gateIndex);
   void applyDmav(const dd::mEdge& gate);
   void applyDmavDiagRun(std::span<const dd::mEdge> run);
+  /// w_ sized to the state, allocated on first use.
+  [[nodiscard]] std::span<Complex> scratch();
 
   /// Relabels a gate into the current internal order (no-op until the first
   /// accepted reorder).
@@ -199,7 +204,11 @@ class FlatDDSimulator {
 
   bool flatPhase_ = false;
   AlignedVector<Complex> v_;  // current state (flat phase)
-  AlignedVector<Complex> w_;  // scratch output vector
+  /// Output of out-of-place DMAVs (span, cached and dense plans, and the
+  /// recursive paths), swapped with v_ after each. Allocated by scratch()
+  /// on the first such DMAV: single-target plans and DiagRun sweeps replay
+  /// on v_ in place, so a flat phase made only of them holds one 2^n array.
+  AlignedVector<Complex> w_;
   DmavWorkspace workspace_;
   // Declared after ddSim_ so it is destroyed (unpinning cached gate roots)
   // before the DD package it references.

@@ -37,7 +37,6 @@ std::size_t PlanCache::KeyHash::operator()(const Key& k) const noexcept {
                         k.threads));
   hashCombine(seed, static_cast<std::size_t>(k.mode));
   hashCombine(seed, k.identFast ? 1u : 0u);
-  hashCombine(seed, std::hash<std::uint64_t>{}(k.epoch));
   for (const RunGate& g : k.run) {
     hashCombine(seed, std::hash<const void*>{}(g.n));
     hashCombine(seed, std::hash<std::uint64_t>{}(g.wBits[0]));
@@ -58,9 +57,8 @@ std::shared_ptr<const DmavPlan> PlanCache::getShared(
   key.threads = threads;
   key.mode = mode;
   key.identFast = identFastPathEnabled();
-  key.epoch = pkg.orderingEpoch();
   return getCommon(pkg, std::move(key), wasHit, [&] {
-    return compileDmavPlan(m, nQubits, threads, mode, &pkg, dense);
+    return compileGatePlan(m, nQubits, threads, mode, &pkg, dense);
   });
 }
 
@@ -77,7 +75,6 @@ std::shared_ptr<const DmavPlan> PlanCache::getSharedRun(
   key.threads = threads;
   key.mode = PlanMode::Row;
   key.identFast = identFastPathEnabled();
-  key.epoch = pkg.orderingEpoch();
   key.run.reserve(run.size() - 1);
   for (std::size_t g = 1; g < run.size(); ++g) {
     key.run.push_back(RunGate{
@@ -113,11 +110,11 @@ std::shared_ptr<const DmavPlan> PlanCache::getCommon(
   }
 
   if (const auto it = index_.find(key); it != index_.end()) {
-    // Pinned roots cannot be *recycled*, so a pointer match is normally a
-    // true match — but a package reset drops nodes wholesale regardless of
-    // pins. The generation re-check catches that: stale entries are evicted
-    // and recompiled instead of replayed.
-    if (!it->second->plan->validFor(pkg)) {
+    // Pinned roots cannot be recycled and packages are cleared out of the
+    // cache before they reset, so a pointer match is a true match as long
+    // as the package's levels still mean what they meant at compile time.
+    // A plan from before a dynamic reorder is evicted and recompiled.
+    if (it->second->plan->orderingEpoch != pkg.orderingEpoch()) {
       ++stats_.staleHits;
       FDD_OBS_COUNT("planCache.staleHits");
       Entry victim = std::move(*it->second);

@@ -13,11 +13,16 @@
 // meaningful while the node is alive — the package's NodePool recycles
 // addresses of collected nodes — so the cache *pins* every cached root with
 // Package::incRef on insertion (and decRef on eviction). Pinned nodes are
-// ineligible for collection, which keeps pointer keys unambiguous without
-// consulting Package::mNodeGeneration() on every lookup. The generation
-// counter is still re-checked defensively on hits: a stale entry (package
-// reset under the cache, which recycles nodes wholesale despite pins) is
-// dropped and recompiled instead of replayed.
+// ineligible for collection, which keeps pointer keys unambiguous whatever
+// else the package collects, so hits do not consult
+// Package::mNodeGeneration(). A package reset recycles nodes wholesale
+// despite pins, so owners call clearPackage() first (FlatDDSimulator::reset
+// does). Hits do check the package's ordering epoch: a dynamic reorder
+// relabels levels, and an entry compiled before it is dropped and
+// recompiled instead of replayed.
+//
+// The compile step is compileGatePlan: row-mode single-target gates (every
+// unfused gate) become in-place plans, everything else compileDmavPlan.
 //
 // Sharing across sessions: one PlanCache may be shared by many simulator
 // instances (the service's SessionManager shares one capacity budget across
@@ -54,7 +59,7 @@ struct PlanCacheStats {
   std::size_t misses = 0;
   std::size_t compiles = 0;    // misses that led to an insert
   std::size_t evictions = 0;
-  std::size_t staleHits = 0;   // generation-guard rejections (recompiled)
+  std::size_t staleHits = 0;   // ordering-epoch rejections (recompiled)
   double compileSeconds = 0;   // total time spent compiling plans
 };
 
@@ -132,12 +137,6 @@ class PlanCache {
     unsigned threads = 0;
     PlanMode mode = PlanMode::Row;
     bool identFast = true;
-    /// Package ordering epoch at compile time. A dynamic reorder relabels
-    /// the package's levels, so a (root, weight)-identical gate DD built
-    /// after it addresses different amplitudes — the epoch keeps pre- and
-    /// post-reorder plans from aliasing (the mNode-generation guard alone
-    /// only covers GC recycling).
-    std::uint64_t epoch = 0;
     std::vector<RunGate> run;  // gates 2..k of a fused run (else empty)
 
     bool operator==(const Key&) const = default;

@@ -39,6 +39,64 @@ void ArraySimulator::applyOperation(const qc::Operation& op) {
   applyControlledSingleQubit(op.matrix(), op.target, controlMask);
 }
 
+void applyControlledPairs(std::span<Complex> state, const qc::Matrix2& u,
+                          Qubit target, Index controlMask, unsigned threads) {
+  // Control-run decomposition. A valid pair base has the target bit 0 and
+  // every control bit 1. A *run* is the span of consecutive bases below the
+  // lowest control or target bit, and the runs at the lowest group of free
+  // bits above it form a *comb* (stride: the group's lowest bit). Comb
+  // bases are enumerated with a masked counter, so a gate is a few strided
+  // span kernels at vector width, whatever its target and controls.
+  const Index dim = state.size();
+  const Index targetBit = Index{1} << target;
+  const Index constrained = controlMask | targetBit;
+  const Index run = constrained & (~constrained + 1);
+  const Index freeBits = (dim - 1) & ~(constrained | (run - 1));
+  const Index stride = freeBits != 0 ? (freeBits & (~freeBits + 1)) : dim;
+  Index combMask = 0;
+  for (Index bit = stride; (freeBits & bit) != 0; bit <<= 1) {
+    combMask |= bit;
+  }
+  const Index teeth = combMask / stride + 1;
+  const Index outer = freeBits & ~combMask;
+  const Index validPairs = (dim >> 1) >> std::popcount(controlMask);
+  const bool diagonal = u[1] == Complex{} && u[2] == Complex{};
+  Complex* s = state.data();
+  const auto kernel = [&](std::size_t lo, std::size_t hi) {
+    for (Index p = lo; p < hi;) {
+      const Index r = p / run;
+      const Index off = p % run;
+      const Index tooth = r % teeth;
+      Index count = 1;
+      Index len = std::min<Index>(run - off, hi - p);
+      if (off == 0 && len == run) {
+        count = std::min<Index>(teeth - tooth, (hi - p) / run);
+      }
+      Complex* a = s + (scatterBits(r / teeth, outer) | controlMask) +
+                   tooth * stride + off;
+      if (!diagonal) {
+        simd::butterflyStrided(a, a + targetBit, u.data(), count, len,
+                               stride);
+      } else {
+        // Phase gates leave |0> alone (u00 == 1): skip that half.
+        if (u[0] != Complex{1.0}) {
+          simd::scaleStrided(a, a, u[0], count, len, stride);
+        }
+        if (u[3] != Complex{1.0}) {
+          simd::scaleStrided(a + targetBit, a + targetBit, u[3], count, len,
+                             stride);
+        }
+      }
+      p += count * len;
+    }
+  };
+  if (threads > 1) {
+    par::globalPool().parallelFor(threads, 0, validPairs, kernel);
+  } else {
+    kernel(0, validPairs);
+  }
+}
+
 void ArraySimulator::applyControlledSingleQubit(const qc::Matrix2& u,
                                                 Qubit target,
                                                 Index controlMask) {
@@ -88,78 +146,8 @@ void ArraySimulator::applyControlledSingleQubit(const qc::Matrix2& u,
     return;
   }
 
-  // Optimized mode: control-run decomposition. The valid pair bases (target
-  // bit 0, all control bits 1) form contiguous runs whose length is the
-  // lowest constrained bit; enumerating run bases with a masked counter
-  // turns the per-element insertBit/mask loop into span kernels that execute
-  // at vector width for low and high targets alike.
-  const bool diagonal = u01 == Complex{} && u10 == Complex{};
-
-  if (target == 0) {
-    // Adjacent pairs: work in pair space g (amplitudes 2g, 2g+1). Controls
-    // all sit above the target, so in pair space they are controlMask >> 1.
-    const Index cg = controlMask >> 1;
-    const Index runPairs = cg != 0 ? (cg & (~cg + 1)) : pairs;
-    const Index freeMask = (pairs - 1) & ~(cg | (runPairs - 1));
-    const Index carry = cg | (runPairs - 1);
-    const Index validPairs = pairs >> std::popcount(controlMask);
-    auto kernel = [&](std::size_t lo, std::size_t hi) {
-      Index g = scatterBits(lo / runPairs, freeMask) | cg;
-      Index off = lo % runPairs;
-      for (std::size_t p = lo; p < hi;) {
-        const Index chunk = std::min<Index>(runPairs - off, hi - p);
-        Complex* base = s + 2 * (g + off);
-        if (diagonal) {
-          simd::scaleStrided(base, base, u00, chunk, 1, 2);
-          simd::scaleStrided(base + 1, base + 1, u11, chunk, 1, 2);
-        } else {
-          simd::butterflyAdjacent(base, u.data(), chunk);
-        }
-        p += chunk;
-        off = 0;
-        g = (((g | carry) + 1) & ~carry) | cg;
-      }
-    };
-    if (threaded) {
-      par::globalPool().parallelFor(options_.threads, 0, validPairs, kernel);
-    } else {
-      kernel(0, validPairs);
-    }
-    return;
-  }
-
-  // target > 0: runs live in amplitude space. Run length is the lowest
-  // control bit below the target, or 2^target when none exists; each run of
-  // bases b pairs with b + targetBit.
-  const Index lowC = controlMask & (targetBit - 1);
-  const Index run = lowC != 0 ? (lowC & (~lowC + 1)) : targetBit;
-  const Index constrained = controlMask | targetBit;
-  const Index freeMask = (dim - 1) & ~(constrained | (run - 1));
-  const Index carry = constrained | (run - 1);
-  const Index validPairs = pairs >> std::popcount(controlMask);
-  auto kernel = [&](std::size_t lo, std::size_t hi) {
-    Index b = scatterBits(lo / run, freeMask) | controlMask;
-    Index off = lo % run;
-    for (std::size_t p = lo; p < hi;) {
-      const Index chunk = std::min<Index>(run - off, hi - p);
-      Complex* b0 = s + b + off;
-      Complex* b1 = b0 + targetBit;
-      if (diagonal) {
-        simd::scale(b0, b0, u00, chunk);
-        simd::scale(b1, b1, u11, chunk);
-      } else {
-        simd::butterfly(b0, b1, u.data(), chunk);
-      }
-      p += chunk;
-      off = 0;
-      b = (((b | carry) + 1) & ~carry) | controlMask;
-    }
-  };
-  if (threaded) {
-    par::globalPool().parallelFor(options_.threads, 0, validPairs, kernel);
-  } else {
-    kernel(0, validPairs);
-  }
+  applyControlledPairs(state_, u, target, controlMask,
+                       threaded ? options_.threads : 1);
 }
 
 void ArraySimulator::simulate(const qc::Circuit& circuit) {

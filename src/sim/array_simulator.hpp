@@ -22,6 +22,15 @@ namespace fdd::sim {
 ///    indexing with the DD's O(1) amortized recursion (Section 3.2.1).
 enum class ArrayIndexing : std::uint8_t { BitTricks, MultiIndex };
 
+/// Applies the 2x2 `u` (row-major) to qubit `target` of `state` (size 2^n)
+/// in place, on the amplitude pairs whose `controlMask` bits are all 1;
+/// other amplitudes are not touched (Eq. 2-3). Valid pairs are split over
+/// `threads` workers of the global pool (1 runs on the caller). This is
+/// the array baseline's BitTricks kernel and the flat phase's replay of
+/// single-target plans (replayPlanInPlace).
+void applyControlledPairs(std::span<Complex> state, const qc::Matrix2& u,
+                          Qubit target, Index controlMask, unsigned threads);
+
 struct ArraySimOptions {
   unsigned threads = 1;
   /// Below this state-vector size the per-gate fork/join overhead exceeds

@@ -37,6 +37,10 @@ struct KernelTable {
   /// (s[2i], s[2i+1]) = U * (s[2i], s[2i+1]) for i in [0, nPairs)
   void (*butterflyAdjacent)(Complex* s, const Complex* u,
                             std::size_t nPairs) noexcept;
+  /// (a[k*stride+j], b[k*stride+j]) = U * (a[k*stride+j], b[k*stride+j])
+  void (*butterflyStrided)(Complex* a, Complex* b, const Complex* u,
+                           std::size_t count, std::size_t len,
+                           std::size_t stride) noexcept;
   /// out[k*stride + j] = s * in[k*stride + j]
   void (*scaleStrided)(Complex* out, const Complex* in, Complex s,
                        std::size_t count, std::size_t len,

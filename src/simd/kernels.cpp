@@ -236,6 +236,12 @@ void butterflyAdjacent(Complex* s, const Complex* u,
   active().butterflyAdjacent(s, u, nPairs);
 }
 
+void butterflyStrided(Complex* a, Complex* b, const Complex* u,
+                      std::size_t count, std::size_t len,
+                      std::size_t stride) noexcept {
+  active().butterflyStrided(a, b, u, count, len, stride);
+}
+
 void scaleStrided(Complex* out, const Complex* in, Complex s,
                   std::size_t count, std::size_t len,
                   std::size_t stride) noexcept {

@@ -89,6 +89,14 @@ void butterfly(Complex* a, Complex* b, const Complex* u,
 void butterflyAdjacent(Complex* s, const Complex* u,
                        std::size_t nPairs) noexcept;
 
+/// Strided comb butterfly: butterfly() on sub-spans a + k*stride and
+/// b + k*stride of `len` amplitudes, k in [0, count). Requires len <=
+/// stride; the two combs must not overlap. A comb of len-1 teeth at stride
+/// 2 with b == a + 1 is butterflyAdjacent().
+void butterflyStrided(Complex* a, Complex* b, const Complex* u,
+                      std::size_t count, std::size_t len,
+                      std::size_t stride) noexcept;
+
 /// Strided comb scale: out[k*stride + j] = s * in[k*stride + j] for
 /// k in [0, count), j in [0, len). Requires len <= stride. Stores stay
 /// strictly within the comb (no neighbouring element is touched), so combs

@@ -241,6 +241,53 @@ void scaleStride2Lane0(Complex* out, const Complex* in, Complex s,
   }
 }
 
+void butterflyStridedK(Complex* a, Complex* b, const Complex* u,
+                       std::size_t count, std::size_t len,
+                       std::size_t stride) noexcept {
+  if (len == 1 && stride == 2 && b == a + 1) {
+    butterflyAdjacentK(a, u, count);
+  } else if (len == 1) {
+    // Isolated pairs: two teeth per register, one in each 128-bit half.
+    const __m256d u0r = _mm256_set1_pd(u[0].real());
+    const __m256d u0i = _mm256_set1_pd(u[0].imag());
+    const __m256d u1r = _mm256_set1_pd(u[1].real());
+    const __m256d u1i = _mm256_set1_pd(u[1].imag());
+    const __m256d u2r = _mm256_set1_pd(u[2].real());
+    const __m256d u2i = _mm256_set1_pd(u[2].imag());
+    const __m256d u3r = _mm256_set1_pd(u[3].real());
+    const __m256d u3i = _mm256_set1_pd(u[3].imag());
+    auto* pa = reinterpret_cast<double*>(a);
+    auto* pb = reinterpret_cast<double*>(b);
+    const std::size_t step = 2 * stride;  // doubles between teeth
+    std::size_t k = 0;
+    for (; k + 2 <= count; k += 2) {
+      double* a0 = pa + k * step;
+      double* b0 = pb + k * step;
+      const __m256d va = _mm256_insertf128_pd(
+          _mm256_castpd128_pd256(_mm_loadu_pd(a0)), _mm_loadu_pd(a0 + step),
+          1);
+      const __m256d vb = _mm256_insertf128_pd(
+          _mm256_castpd128_pd256(_mm_loadu_pd(b0)), _mm_loadu_pd(b0 + step),
+          1);
+      const __m256d na = _mm256_add_pd(complexScale(va, u0r, u0i),
+                                       complexScale(vb, u1r, u1i));
+      const __m256d nb = _mm256_add_pd(complexScale(va, u2r, u2i),
+                                       complexScale(vb, u3r, u3i));
+      _mm_storeu_pd(a0, _mm256_castpd256_pd128(na));
+      _mm_storeu_pd(a0 + step, _mm256_extractf128_pd(na, 1));
+      _mm_storeu_pd(b0, _mm256_castpd256_pd128(nb));
+      _mm_storeu_pd(b0 + step, _mm256_extractf128_pd(nb, 1));
+    }
+    if (k < count) {
+      butterflyK(a + k * stride, b + k * stride, u, 1);
+    }
+  } else {
+    for (std::size_t k = 0; k < count; ++k) {
+      butterflyK(a + k * stride, b + k * stride, u, len);
+    }
+  }
+}
+
 void scaleStridedK(Complex* out, const Complex* in, Complex s,
                    std::size_t count, std::size_t len,
                    std::size_t stride) noexcept {
@@ -373,7 +420,7 @@ const KernelTable& avx2Table() noexcept {
   static const KernelTable table{
       /*lanes=*/4,          &scaleK,      &scaleAccumulateK,
       &accumulateK,         &mac2K,       &butterflyK,
-      &butterflyAdjacentK,  &scaleStridedK, &macStridedK,
+      &butterflyAdjacentK,  &butterflyStridedK, &scaleStridedK, &macStridedK,
       &mac2StridedK,        &normSquaredK,  &mulPointwiseK,
       &denseColumnsK,
   };

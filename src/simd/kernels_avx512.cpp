@@ -264,6 +264,22 @@ void scaleStride2Lane0(Complex* out, const Complex* in, Complex s,
   }
 }
 
+void butterflyStridedK(Complex* a, Complex* b, const Complex* u,
+                       std::size_t count, std::size_t len,
+                       std::size_t stride) noexcept {
+  if (len == 1 && stride == 2 && b == a + 1) {
+    butterflyAdjacentK(a, u, count);
+  } else if (len < 4) {
+    // Teeth narrower than one 512-bit vector: the AVX2 tier's kernel
+    // (two complex lanes, or two single-pair teeth) wastes fewer lanes.
+    avx2Table().butterflyStrided(a, b, u, count, len, stride);
+  } else {
+    for (std::size_t k = 0; k < count; ++k) {
+      butterflyK(a + k * stride, b + k * stride, u, len);
+    }
+  }
+}
+
 void scaleStridedK(Complex* out, const Complex* in, Complex s,
                    std::size_t count, std::size_t len,
                    std::size_t stride) noexcept {
@@ -402,7 +418,7 @@ const KernelTable& avx512Table() noexcept {
   static const KernelTable table{
       /*lanes=*/8,          &scaleK,      &scaleAccumulateK,
       &accumulateK,         &mac2K,       &butterflyK,
-      &butterflyAdjacentK,  &scaleStridedK, &macStridedK,
+      &butterflyAdjacentK,  &butterflyStridedK, &scaleStridedK, &macStridedK,
       &mac2StridedK,        &normSquaredK,  &mulPointwiseK,
       &denseColumnsK,
   };

@@ -54,6 +54,14 @@ void butterflyAdjacentK(Complex* s, const Complex* u,
   }
 }
 
+void butterflyStridedK(Complex* a, Complex* b, const Complex* u,
+                       std::size_t count, std::size_t len,
+                       std::size_t stride) noexcept {
+  for (std::size_t k = 0; k < count; ++k) {
+    butterflyK(a + k * stride, b + k * stride, u, len);
+  }
+}
+
 void scaleStridedK(Complex* out, const Complex* in, Complex s,
                    std::size_t count, std::size_t len,
                    std::size_t stride) noexcept {
@@ -124,7 +132,7 @@ const KernelTable& scalarTable() noexcept {
   static const KernelTable table{
       /*lanes=*/1,          &scaleK,      &scaleAccumulateK,
       &accumulateK,         &mac2K,       &butterflyK,
-      &butterflyAdjacentK,  &scaleStridedK, &macStridedK,
+      &butterflyAdjacentK,  &butterflyStridedK, &scaleStridedK, &macStridedK,
       &mac2StridedK,        &normSquaredK,  &mulPointwiseK,
       &denseColumnsK,
   };

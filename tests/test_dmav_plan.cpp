@@ -545,6 +545,178 @@ TEST(PlanCacheTest, RunKeyedEntriesHitAndPinAllRoots) {
 }
 
 // ---------------------------------------------------------------------------
+// In-place single-target plans
+// ---------------------------------------------------------------------------
+
+/// Eq. 2-3 straight from the definition: u on every amplitude pair whose
+/// controls all read 1.
+test::DenseVector applyPairs(const qc::Operation& op, test::DenseVector v) {
+  const qc::Matrix2 u = op.matrix();
+  Index controlMask = 0;
+  for (const Qubit c : op.controls) {
+    controlMask |= Index{1} << c;
+  }
+  const Index tBit = Index{1} << op.target;
+  for (Index i = 0; i < v.size(); ++i) {
+    if ((i & tBit) == 0 && (i & controlMask) == controlMask) {
+      const Complex a0 = v[i];
+      const Complex a1 = v[i | tBit];
+      v[i] = u[0] * a0 + u[1] * a1;
+      v[i | tBit] = u[2] * a0 + u[3] * a1;
+    }
+  }
+  return v;
+}
+
+/// Control sets for `target`: none, one above, one below, two above, two
+/// below, one on each side (those the register has room for).
+std::vector<std::vector<Qubit>> controlSets(Qubit n, Qubit target) {
+  std::vector<Qubit> above;
+  std::vector<Qubit> below;
+  for (Qubit q = target + 1; q < n; ++q) {
+    above.push_back(q);
+  }
+  for (Qubit q = target - 1; q >= 0; --q) {
+    below.push_back(q);
+  }
+  std::vector<std::vector<Qubit>> sets{{}};
+  if (!above.empty()) {
+    sets.push_back({above.back()});
+  }
+  if (!below.empty()) {
+    sets.push_back({below.back()});
+  }
+  if (above.size() >= 2) {
+    sets.push_back({above[0], above.back()});
+  }
+  if (below.size() >= 2) {
+    sets.push_back({below.back(), below[0]});
+  }
+  if (!above.empty() && !below.empty()) {
+    sets.push_back({below[0], above[0]});
+  }
+  return sets;
+}
+
+TEST(InPlacePlan, EveryGateKindAgreesWithSpanReplayAndReference) {
+  // Every gate kind, with 0, 1 and 2 controls above and below the target,
+  // at the bottom, middle and top qubit: the probe must recognize the DD,
+  // and in-place replay, replayPlan's W = M * V, the span lowering and the
+  // reference must agree.
+  std::size_t cases = 0;
+  for (const Qubit n : {Qubit{1}, Qubit{6}, Qubit{12}}) {
+    dd::Package p{n};
+    const auto v = test::randomState(n, 500 + static_cast<unsigned>(n));
+    for (const Qubit target : {Qubit{0}, Qubit(n / 2), Qubit(n - 1)}) {
+      for (const auto& controls : controlSets(n, target)) {
+        for (int k = 0; k <= static_cast<int>(qc::GateKind::U3); ++k) {
+          const auto kind = static_cast<qc::GateKind>(k);
+          std::vector<fp> params{0.3, 0.7, 1.1};
+          params.resize(qc::gateParamCount(kind));
+          const qc::Operation op{kind, target, controls, params};
+          const dd::mEdge m = p.makeGateDD(op);
+          p.incRef(m);
+          const auto want = applyPairs(op, v);
+          const auto gate = singleTargetProbe(m, n);
+          ASSERT_TRUE(gate.has_value()) << qc::gateName(kind) << " n=" << n
+                                        << " t=" << target;
+          for (const unsigned threads : {1u, 4u}) {
+            const DmavPlan plan =
+                compileGatePlan(m, n, threads, PlanMode::Row, &p);
+            ASSERT_TRUE(plan.single.has_value());
+            EXPECT_TRUE(plan.replaysInPlace());
+            AlignedVector<Complex> inPlace(v.begin(), v.end());
+            replayPlanInPlace(plan, inPlace);
+            EXPECT_STATE_NEAR(inPlace, want, 1e-12)
+                << qc::gateName(kind) << " n=" << n << " t=" << target
+                << " controls=" << controls.size() << " threads=" << threads;
+            EXPECT_STATE_NEAR(replayRow(plan, v), want, 1e-12);
+            const DmavPlan spans =
+                compileDmavPlan(m, n, threads, PlanMode::Row, &p);
+            EXPECT_FALSE(spans.single.has_value());
+            EXPECT_STATE_NEAR(replayRow(spans, v), want, 1e-12);
+            ++cases;
+          }
+          p.decRef(m);
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 400u);
+}
+
+TEST(InPlacePlan, OnlySingleTargetDDsAreLoweredInPlace) {
+  const Qubit n = 6;
+  dd::Package p{n};
+  const auto v = test::randomState(n, 61);
+  const auto product = [&](const qc::Operation& a, const qc::Operation& b) {
+    return p.multiply(p.makeGateDD(b), p.makeGateDD(a));  // a, then b
+  };
+  // Two targets, or diagonals on two qubits that no one control set
+  // explains: span lowering, still exact.
+  const std::vector<std::pair<qc::Operation, qc::Operation>> rejected = {
+      {{qc::GateKind::H, 1, {}, {}}, {qc::GateKind::H, 4, {}, {}}},
+      {{qc::GateKind::RZ, 0, {}, {0.4}}, {qc::GateKind::RZ, 2, {}, {0.9}}},
+      {{qc::GateKind::X, 3, {0}, {}}, {qc::GateKind::RY, 5, {}, {0.3}}},
+  };
+  for (const auto& [a, b] : rejected) {
+    const dd::mEdge m = product(a, b);
+    p.incRef(m);
+    EXPECT_FALSE(singleTargetProbe(m, n).has_value());
+    const DmavPlan plan = compileGatePlan(m, n, 2, PlanMode::Row, &p);
+    EXPECT_FALSE(plan.replaysInPlace());
+    EXPECT_THROW(
+        {
+          AlignedVector<Complex> s(v.begin(), v.end());
+          replayPlanInPlace(plan, s);
+        },
+        std::invalid_argument);
+    EXPECT_STATE_NEAR(replayRow(plan, v), applyPairs(b, applyPairs(a, v)),
+                      1e-12);
+    p.decRef(m);
+  }
+  // A product on one target under one control set is one 2x2: in place.
+  const qc::Operation a{qc::GateKind::RX, 2, {4}, {0.3}};
+  const qc::Operation b{qc::GateKind::RY, 2, {4}, {0.8}};
+  const dd::mEdge m = product(a, b);
+  p.incRef(m);
+  const DmavPlan plan = compileGatePlan(m, n, 2, PlanMode::Row, &p);
+  ASSERT_TRUE(plan.single.has_value());
+  AlignedVector<Complex> s(v.begin(), v.end());
+  replayPlanInPlace(plan, s);
+  EXPECT_STATE_NEAR(s, applyPairs(b, applyPairs(a, v)), 1e-12);
+  // Cached mode keeps the paper's lowering.
+  EXPECT_FALSE(
+      compileGatePlan(m, n, 2, PlanMode::Cached, &p).single.has_value());
+  p.decRef(m);
+}
+
+TEST(InPlacePlan, DiagRunPlansReplayInPlace) {
+  const Qubit n = 8;
+  dd::Package p{n};
+  std::vector<dd::mEdge> run;
+  const std::vector<qc::Operation> ops = {{qc::GateKind::RZ, 1, {}, {0.2}},
+                                          {qc::GateKind::P, 6, {2}, {0.9}},
+                                          {qc::GateKind::T, 7, {}, {}}};
+  for (const auto& op : ops) {
+    run.push_back(p.makeGateDD(op));
+  }
+  const auto v = test::randomState(n, 62);
+  auto want = v;
+  for (const auto& op : ops) {
+    want = applyPairs(op, want);
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    const DmavPlan plan = compileDiagRunPlan(run, n, threads, &p);
+    ASSERT_TRUE(plan.replaysInPlace());
+    AlignedVector<Complex> s(v.begin(), v.end());
+    replayPlanInPlace(plan, s);
+    EXPECT_STATE_NEAR(s, want, 1e-12);
+    EXPECT_STATE_NEAR(replayRow(plan, v), want, 1e-12);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Cache-blocked dense gates (DenseBlock)
 // ---------------------------------------------------------------------------
 

@@ -207,9 +207,40 @@ TEST(FlatDD, MemoryAccountingIsPositiveAndGrowsOnConversion) {
   flat.simulate(circuit);
   EXPECT_GT(flat.memoryBytes(), 0u);
   if (flat.stats().converted) {
-    // Converted runs hold two flat vectors.
-    EXPECT_GE(flat.memoryBytes(), 2 * sizeof(Complex) * (1u << 10));
+    // Converted runs hold the flat state vector.
+    EXPECT_GE(flat.memoryBytes(), sizeof(Complex) * (1u << 10));
   }
+}
+
+TEST(FlatDD, SingleTargetFlatPhaseHoldsOneStateBuffer) {
+  // Every gate after the conversion replays in place on the state, so the
+  // flat phase never allocates a second 2^n array.
+  constexpr Qubit n = 16;
+  const std::size_t stateBytes = sizeof(Complex) * (std::size_t{1} << n);
+  qc::Circuit circuit{n, "single-target"};
+  for (Qubit q = 0; q < n; ++q) {
+    circuit.append({qc::GateKind::H, q, {}, {}});
+  }
+  for (Qubit q = 0; q + 1 < n; ++q) {
+    circuit.append({qc::GateKind::X, q + 1, {q}, {}});
+    circuit.append({qc::GateKind::RY, q, {q + 1}, {0.1 * (q + 1)}});
+    circuit.append({qc::GateKind::RZ, q + 1, {}, {0.3}});
+  }
+  FlatDDOptions o;
+  o.threads = 1;
+  o.forceConversionAtGate = 1;
+  FlatDDSimulator flat{n, o};
+  flat.simulate(circuit);
+  const FlatDDStats& s = flat.stats();
+  ASSERT_TRUE(s.converted);
+  EXPECT_EQ(s.inPlaceGates, s.dmavGates);
+  EXPECT_GE(flat.memoryBytes(), stateBytes);
+  EXPECT_LT(flat.memoryBytes(), 2 * stateBytes);
+
+  sim::ArraySimulator reference{
+      n, {.threads = 1, .indexing = sim::ArrayIndexing::MultiIndex}};
+  reference.simulate(circuit);
+  EXPECT_STATE_NEAR(flat.stateVector(), reference.state(), 1e-10);
 }
 
 TEST(FlatDD, StatsTimingsAreConsistent) {

@@ -28,6 +28,7 @@
 #include "engine/backend_factory.hpp"
 #include "flatdd/flatdd_simulator.hpp"
 #include "flatdd/plan_cache.hpp"
+#include "helpers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -391,6 +392,39 @@ TEST(SvcSession, IncrementalApplyMatchesOneShot) {
   EXPECT_EQ(incremental.sample(64), oneShot.sample(64));
 }
 
+TEST(SvcSession, ChunkedAppliesMatchOneShotInTheFlatPhase) {
+  // Most gates replay in place after the conversion at gate 4; uneven
+  // chunks must give the one-shot amplitudes.
+  constexpr Qubit kQubits = 12;
+  const qc::Circuit circuit = circuits::randomUniversal(kQubits, 400, 53);
+  SessionConfig cfg = makeConfig(kQubits, 9);
+  cfg.engine.forceConversionAtGate = 4;
+  Session chunked{1, cfg, nullptr};
+  const auto& ops = circuit.operations();
+  std::size_t begin = 0;
+  for (const std::size_t end : {std::size_t{40}, std::size_t{41},
+                                std::size_t{170}, std::size_t{333},
+                                ops.size()}) {
+    qc::Circuit chunk{kQubits, "chunk"};
+    for (std::size_t i = begin; i < end; ++i) {
+      chunk.append(ops[i]);
+    }
+    chunked.apply(chunk);
+    begin = end;
+  }
+  Session oneShot{2, cfg, nullptr};
+  oneShot.apply(circuit);
+  const engine::RunReport report = chunked.report();
+  ASSERT_TRUE(report.converted);
+  EXPECT_GT(report.inPlaceGates, 0u);
+  for (Index i = 0; i < (Index{1} << kQubits); ++i) {
+    const Complex a = chunked.amplitude(i);
+    const Complex b = oneShot.amplitude(i);
+    ASSERT_NEAR(a.real(), b.real(), 1e-12) << i;
+    ASSERT_NEAR(a.imag(), b.imag(), 1e-12) << i;
+  }
+}
+
 TEST(SvcSession, PhaseTimersAccumulateAcrossApplies) {
   // Each apply() runs as several 64-gate engine slices; every slice must add
   // to the phase timers rather than overwrite them.
@@ -458,29 +492,76 @@ TEST(SharedPlanCache, ClearPackageDropsOnlyThatPackage) {
   p2.decRef(g2);
 }
 
-TEST(SharedPlanCache, GenerationGuardRejectsStaleHits) {
+TEST(SharedPlanCache, UnrelatedCollectionKeepsPinnedPlanAHit) {
   const Qubit n = 5;
   dd::Package p{n};
   flat::PlanCache cache{8};
-  const dd::mEdge g = p.makeGateDD({qc::GateKind::RY, 1, {}, {0.4}});
+  const qc::Operation op{qc::GateKind::RY, 1, {}, {0.4}};
+  const dd::mEdge g = p.makeGateDD(op);
   p.incRef(g);
   (void)cache.getShared(p, g, n, 1, flat::PlanMode::Row);
-  EXPECT_EQ(cache.stats().staleHits, 0u);
 
-  // Recycle unrelated matrix nodes: the generation advances, so the cached
-  // entry — though its pinned root is intact — must be conservatively
-  // recompiled rather than replayed against a changed arena.
+  // Collect unrelated matrix nodes. The cached root is pinned, so it was
+  // not recycled and its plan is still the plan of this gate.
   (void)p.makeGateDD({qc::GateKind::U3, 3, {}, {0.1, 0.2, 0.3}});
+  const std::uint64_t generation = p.mNodeGeneration();
   p.garbageCollect(true);
+  ASSERT_GT(p.mNodeGeneration(), generation);
 
-  bool hit = true;
+  bool hit = false;
   const auto plan = cache.getShared(p, g, n, 1, flat::PlanMode::Row, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(cache.stats().staleHits, 1u);
-  EXPECT_EQ(cache.stats().compiles, 2u);
-  EXPECT_TRUE(plan->validFor(p));
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.stats().staleHits, 0u);
+  EXPECT_EQ(cache.stats().compiles, 1u);
+  const auto v = test::randomState(n, 3);
+  AlignedVector<Complex> in(v.begin(), v.end());
+  AlignedVector<Complex> out(v.size());
+  flat::replayPlan(*plan, in, out);
+  EXPECT_STATE_NEAR(out, test::denseApply(test::denseOperator(op, n), v),
+                    1e-12);
   cache.clearPackage(p);
   p.decRef(g);
+}
+
+TEST(SharedPlanCache, SessionKeepsRecurringPlansAcrossEvictions) {
+  // Each apply is one engine slice: 46 recurring gates plus one new gate,
+  // under a 48-entry cache. From the third slice on, each new gate evicts
+  // the oldest one-off plan, and the slice-end GC collects its root. The
+  // recurring plans' roots stay pinned and intact, so every slice after
+  // the first two must hit all 46 of them and recompile none.
+  constexpr Qubit kQubits = 16;
+  flat::PlanCache cache{48};
+  SessionConfig cfg = makeConfig(kQubits, 5);
+  cfg.engine.threads = 1;
+  cfg.engine.forceConversionAtGate = 1;
+  Session s{1, cfg, &cache};
+  std::vector<qc::Operation> recurring;
+  for (Qubit q = 0; q < kQubits; ++q) {
+    recurring.push_back({qc::GateKind::RX, q, {}, {0.1 * (q + 1)}});
+  }
+  for (Qubit q = 0; q + 1 < kQubits; ++q) {
+    recurring.push_back({qc::GateKind::X, q + 1, {q}, {}});
+    recurring.push_back({qc::GateKind::RY, q, {}, {0.2 * (q + 1)}});
+  }
+  ASSERT_EQ(recurring.size(), 46u);
+
+  std::size_t hitsBefore = 0;
+  for (int slice = 0; slice < 8; ++slice) {
+    qc::Circuit chunk{kQubits, "slice"};
+    for (const auto& op : recurring) {
+      chunk.append(op);
+    }
+    chunk.append({qc::GateKind::RY, kQubits - 1, {}, {0.05 + 0.01 * slice}});
+    ASSERT_LE(chunk.numGates(), Session::kCancelCheckGates);
+    s.apply(chunk);
+    const std::size_t hits = s.report().planCacheHits;
+    if (slice >= 2) {
+      EXPECT_EQ(hits - hitsBefore, recurring.size()) << "slice " << slice;
+    }
+    hitsBefore = hits;
+  }
+  EXPECT_GE(cache.stats().evictions, 6u);
+  EXPECT_EQ(cache.stats().staleHits, 0u);
 }
 
 TEST(SharedPlanCache, HeldPlanSurvivesEviction) {

@@ -224,6 +224,48 @@ std::vector<CombCase> combCases() {
   return cases;
 }
 
+TEST(SimdDispatch, ButterflyStridedMatchesReference) {
+  TierGuard guard;
+  Xoshiro256 rng{18};
+  for (const DispatchTier tier : availableTiers()) {
+    ASSERT_TRUE(setDispatchTier(tier));
+    for (const CombCase& c : combCases()) {
+      // b sits past the end of a's comb, or (stride >= 2 * len) between
+      // a's teeth, as the control-run decomposition places it; len 1 at
+      // stride 2 with b == a + 1 is the adjacent-pair shape.
+      const std::size_t span = (c.count - 1) * c.stride + c.len;
+      std::vector<std::size_t> gaps{span};
+      if (c.stride >= 2 * c.len) {
+        gaps.push_back(c.len);
+      }
+      for (const std::size_t gap : gaps) {
+        const std::array<Complex, 4> u{randomCoeff(rng), randomCoeff(rng),
+                                       randomCoeff(rng), randomCoeff(rng)};
+        const auto s0 = randomBuf(gap + span + 3, rng);
+        auto s = s0;
+        butterflyStrided(s.data() + 1, s.data() + 1 + gap, u.data(), c.count,
+                         c.len, c.stride);
+        for (std::size_t i = 0; i < span; ++i) {
+          const std::size_t k = i / c.stride;
+          if (k >= c.count || i - k * c.stride >= c.len) {
+            continue;
+          }
+          const Complex x = s0[1 + i];
+          const Complex y = s0[1 + gap + i];
+          expectNear(s[1 + i], u[0] * x + u[1] * y, toString(tier), i);
+          expectNear(s[1 + gap + i], u[2] * x + u[3] * y, toString(tier), i);
+        }
+        // Nothing outside the two combs moves.
+        std::size_t touched = 0;
+        for (std::size_t i = 0; i < s.size(); ++i) {
+          touched += s[i] != s0[i] ? 1 : 0;
+        }
+        EXPECT_LE(touched, 2 * c.count * c.len) << toString(tier);
+      }
+    }
+  }
+}
+
 TEST(SimdDispatch, ScaleStridedMatchesReference) {
   TierGuard guard;
   Xoshiro256 rng{17};

@@ -201,6 +201,11 @@ void printStats(const engine::RunReport& report) {
           "compiling, %.3f ms replaying)\n",
           report.planCacheHits, report.planCacheMisses, report.planCompiles,
           report.planCompileSeconds * 1e3, report.dmavReplaySeconds * 1e3);
+      std::printf(
+          "DMAV paths: %zu in place, %zu dense-block, %zu in %zu diagonal "
+          "runs\n",
+          report.inPlaceGates, report.denseBlockGates, report.diagRunGates,
+          report.diagRuns);
     }
   }
   if (report.peakDDSize > 0) {
